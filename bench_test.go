@@ -90,18 +90,22 @@ func BenchmarkProvenanceEvaluation(b *testing.B) {
 
 // BenchmarkEngine measures SPJU evaluation on the join-heavy TPC-H-like
 // queries, comparing the pinned materializing executor (engine.RunReference,
-// the pre-streaming control) against the streaming executor (engine.Run:
-// predicate pushdown + Volcano iterators) and the morsel-parallel executor
-// at 2, 4 and 8 workers (engine.RunWith). All modes run the same plans over
-// the same database and produce row-for-row identical results (the
-// equivalence tests in internal/engine enforce this), so ns/op is directly
+// the pre-streaming control) against the streaming executor run serially
+// (engine.Run: predicate pushdown + Volcano iterators) and at 2, 4 and 8
+// workers (engine.RunWith). All modes run the same plans over the same
+// database and produce row-for-row identical results (the equivalence
+// tests in internal/engine enforce this), so ns/op is directly
 // comparable. The scale factor defaults to 0.02 and can be raised with
 // QRES_ENGINE_SF (EXPERIMENTS.md regenerates at 0.02, 0.1 and 1);
 // generation uses Lean mode so large scale factors skip the metadata the
 // engine never reads. After all sub-benchmarks run, the per-query
 // measurements are appended as one trajectory point to
 // results/BENCH_engine.json, with serial streaming pinned as the control
-// the parallel speedups are computed against.
+// the parallel speedups are computed against. Each point records
+// runtime.NumCPU, GOMAXPROCS and the Go version, since parallel speedups
+// mean nothing without them. Pass one -cpu value per invocation: go test
+// applies a -cpu list to each sub-benchmark, so the point would hold only
+// the last value's measurements.
 func BenchmarkEngine(b *testing.B) {
 	sf := 0.02
 	if s := os.Getenv("QRES_ENGINE_SF"); s != "" {
@@ -168,6 +172,9 @@ func BenchmarkEngine(b *testing.B) {
 		"benchmark":    "engine",
 		"scale_factor": sf,
 		"tuples":       udb.Data().TotalTuples(),
+		"num_cpu":      runtime.NumCPU(),
+		"gomaxprocs":   runtime.GOMAXPROCS(0),
+		"go_version":   runtime.Version(),
 	}
 	for _, qname := range queries {
 		ref, str := measures[qname]["reference"], measures[qname]["streaming"]

@@ -109,7 +109,7 @@ func prepare(name string, udb *uncertain.DB, sql string, gt GroundTruthKind, see
 	if err != nil {
 		return nil, fmt.Errorf("bench: compile %s: %w", name, err)
 	}
-	res, err := engine.RunObserved(udb, plan, o)
+	res, err := engine.RunWith(udb, plan, engine.Exec{Obs: o, Workers: 1})
 	if err != nil {
 		return nil, fmt.Errorf("bench: run %s: %w", name, err)
 	}

@@ -112,41 +112,49 @@ func (s worldSource) Relation(name string) (*table.Relation, bool) {
 func (s worldSource) Prov(string, int) boolexpr.Expr { return boolexpr.True() }
 
 // Exec bundles the execution options of one streaming run: an optional
-// instrumentation handle and the morsel-parallelism settings.
+// instrumentation handle and the engine worker count.
+//
+// When Obs carries a metrics registry the run maintains the engine
+// counters (engine_rows_scanned_total, engine_rows_emitted_total,
+// engine_predicates_pushed_total, engine_topk_fused_total,
+// engine_morsels_total, engine_parallel_pipelines_total) and the
+// engine_workers gauge. When it carries a span sink the run additionally
+// emits a query_eval span (annotated with the original and rewritten plan
+// shapes and the output cardinality), one query_op span per operator of
+// the serial tree and per exchange (rows produced, inclusive subtree
+// time), and a provenance span summarizing the constructed annotations.
+// Tracing never changes how the plan executes.
 //
 // Workers selects the engine worker count: 0 means one worker per CPU
-// (runtime.GOMAXPROCS), 1 pins the run to the serial streaming executor,
-// and n ≥ 2 fans eligible pipeline fragments out across n workers. The
-// parallel path is bit-identical to the serial one — same columns, tuple
-// order and provenance expressions — for any worker count; see
-// ARCHITECTURE.md "Parallel execution" for the determinism argument.
-//
-// MorselSize is the number of driver-relation rows per morsel; 0 selects
-// the default (1024). Smaller morsels only matter for tests that want many
-// morsels over tiny relations.
+// (runtime.GOMAXPROCS), 1 compiles no exchanges, and n ≥ 2 fans eligible
+// pipeline fragments out across n workers. Every worker count runs the
+// same operators and returns bit-identical results — same columns, tuple
+// order and provenance expressions; see ARCHITECTURE.md "Parallel
+// execution" for the determinism argument.
 type Exec struct {
-	Obs        *obs.Obs
-	Workers    int
-	MorselSize int
+	Obs     *obs.Obs
+	Workers int
+
+	morsel int // rows per morsel; 0 selects defaultMorselSize
 }
 
 // Run evaluates plan over the uncertain database with provenance tracking
 // (Step 2 of the framework). Each output row's expression is True under a
 // valuation iff the row belongs to the query answer on that possible world.
 //
-// Run uses the serial streaming executor: the plan is rewritten (predicate
-// pushdown, top-k fusion — see Rewrite), compiled to a tree of Volcano
-// iterators and drained. Results are row-for-row identical to the
-// materializing reference executor, which stays available as RunReference
-// for equivalence testing. RunWith adds morsel-driven parallelism with the
-// same result contract.
+// Run executes serially: the plan is rewritten (predicate pushdown, top-k
+// fusion — see Rewrite), compiled to a tree of Volcano iterators and
+// drained. Results are row-for-row identical to the materializing
+// reference executor, which stays available as RunReference for
+// equivalence testing. RunWith adds instrumentation and morsel-driven
+// parallelism with the same result contract.
 func Run(db *uncertain.DB, plan Node) (*Result, error) {
 	return RunWith(db, plan, Exec{Workers: 1})
 }
 
 // RunWith evaluates plan on the streaming executor with explicit execution
-// options — the entry point for morsel-parallel evaluation. Results are
-// bit-identical to Run for every Exec value.
+// options — the entry point for instrumented and morsel-parallel
+// evaluation. Results are bit-identical to Run for every Exec value.
 func RunWith(db *uncertain.DB, plan Node, x Exec) (*Result, error) {
 	return runStream(uncertainSource{db}, plan, x)
 }
@@ -165,18 +173,6 @@ func RunReference(db *uncertain.DB, plan Node) (*Result, error) {
 	return &Result{Columns: schema, Rows: rows}, nil
 }
 
-// RunObserved is Run with instrumentation. When o carries a metrics
-// registry it maintains the engine counters (engine_rows_scanned_total,
-// engine_rows_emitted_total, engine_predicates_pushed_total,
-// engine_topk_fused_total). When o carries a span sink it additionally
-// emits a query_eval span (annotated with the original and rewritten plan
-// shapes and the output cardinality), one query_op span per streaming
-// operator (rows produced, inclusive subtree time), and a provenance span
-// summarizing the constructed annotations.
-func RunObserved(db *uncertain.DB, plan Node, o *obs.Obs) (*Result, error) {
-	return runStream(uncertainSource{db}, plan, Exec{Obs: o, Workers: 1})
-}
-
 // runStream rewrites, compiles and drains a plan against src under the
 // given execution options, reporting through x.Obs (which may be nil).
 func runStream(src Source, plan Node, x Exec) (*Result, error) {
@@ -189,7 +185,7 @@ func runStream(src Source, plan Node, x Exec) (*Result, error) {
 	rewritten, rst := rewriteWithStats(plan)
 	ctx := &compileCtx{
 		src: src, stats: &execStats{},
-		workers: workers, morsel: x.MorselSize,
+		workers: workers, morsel: x.morsel,
 		trace: o.Tracing(),
 	}
 	c, err := compileInput(rewritten, ctx)
@@ -255,7 +251,7 @@ func drain(c compiled) ([]Row, error) {
 // semantics and returns the set of output tuple keys. Experiments use it to
 // compute the ground-truth answer Q(D_val*) independently of provenance,
 // which is how the resolution-correctness invariant is checked end to end.
-// Like Run it executes on the serial streaming path.
+// Like Run it executes serially.
 func RunWorld(db *table.Database, plan Node) (map[string]table.Tuple, error) {
 	res, err := runStream(worldSource{db}, plan, Exec{Workers: 1})
 	if err != nil {

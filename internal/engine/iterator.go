@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"qres/internal/boolexpr"
@@ -24,9 +25,12 @@ import (
 //   - Close releases per-pass resources (materialized build sides, dedup
 //     state) and recursively closes children.
 //
-// Pipeline breakers (sort, top-k, duplicate elimination, the hash-join
-// build side) drain their input inside the first Next call rather than in
-// Open, so a Limit above them that never pulls (LIMIT 0) does no work.
+// Pipeline breakers (sort, top-k, duplicate elimination, the join build
+// side) drain their input inside the first Next call rather than in Open,
+// so a Limit above them that never pulls (LIMIT 0) does no work. A join
+// build opens, drains and closes its own input (see joinBuild), so its
+// input is opened at most once and closed exactly once however the pass
+// ends.
 type iter interface {
 	Open() error
 	Next() (Row, bool, error)
@@ -45,9 +49,10 @@ type execStats struct {
 
 // compileCtx carries the shared state of one compilation: the source to
 // bind against, the run's counters, the parallel-execution settings
-// (workers < 2 compiles fully serial trees; morsel is the rows-per-morsel
-// grain), and — when per-operator tracing is requested — the
-// instrumentation wrappers created so far.
+// (workers < 2 compiles no exchanges; morsel is the rows-per-morsel
+// grain), the instrumentation wrappers created so far when per-operator
+// tracing is requested, and — while compiling one worker's copy of an
+// exchange fragment — that worker's fragment state.
 type compileCtx struct {
 	src     Source
 	stats   *execStats
@@ -55,10 +60,11 @@ type compileCtx struct {
 	morsel  int
 	trace   bool
 	ops     []*opIter
+	frag    *workerFrag
 }
 
-// maxPreSize caps every cardinality-hint-driven pre-allocation (hash-join
-// build tables, materialized loop-join and sort buffers, top-k heaps). The
+// maxPreSize caps every cardinality-hint-driven pre-allocation, in rows
+// (join build rows and key offsets, sort buffers, top-k heaps). The
 // hints from estimateRows are upper bounds, not estimates — a selective
 // filter under a large base relation can inflate them by orders of
 // magnitude — so an uncapped make() at SF 1+ could reserve gigabytes for a
@@ -112,12 +118,13 @@ func unwrapOp(it iter) iter {
 }
 
 // compile binds a plan subtree against the source and builds its iterator
-// tree. All schema resolution and predicate/scalar binding happens here, so
-// the streaming path surfaces exactly the errors the materializing path
-// surfaces (unknown relations and columns, ambiguous references, kind
-// mismatches) before any row is produced. Children compile before the
-// operator's own expressions bind, matching the materializing executor's
-// error order.
+// tree. It is the only compiler: serial trees and each worker's copy of an
+// exchange fragment (see tryExchange) come from the same code. All schema
+// resolution and predicate/scalar binding happens here, so the streaming
+// path surfaces exactly the errors the materializing path surfaces
+// (unknown relations and columns, ambiguous references, kind mismatches)
+// before any row is produced. Children compile before the operator's own
+// expressions bind, matching the materializing executor's error order.
 func compile(n Node, ctx *compileCtx) (compiled, error) {
 	switch t := n.(type) {
 	case *scanNode:
@@ -133,7 +140,10 @@ func compile(n Node, ctx *compileCtx) (compiled, error) {
 		for i, c := range rel.Schema().Columns() {
 			schema[i] = OutCol{Qualifier: alias, Name: c.Name, Kind: c.Kind}
 		}
-		it := &scanIter{rel: rel, prov: provFetcher(ctx.src, t.relation), stats: ctx.stats}
+		it := &scanIter{rel: rel, prov: provFetcher(ctx.src, t.relation), stats: ctx.stats, hi: rel.Len()}
+		if f := ctx.frag; f != nil && f.scan == nil {
+			f.scan = it // a fragment's leftmost scan compiles first; morsels split its rows
+		}
 		return ctx.wrap(t.String(), compiled{schema: schema, it: it, stable: true}), nil
 
 	case *selectNode:
@@ -164,14 +174,14 @@ func compile(n Node, ctx *compileCtx) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		rc, err := compile(t.right, ctx)
+		b, err := ctx.joinBuild(t, lc.schema)
 		if err != nil {
 			return compiled{}, err
 		}
-		schema := make(outSchema, 0, len(lc.schema)+len(rc.schema))
+		schema := make(outSchema, 0, len(lc.schema)+len(b.schema))
 		schema = append(schema, lc.schema...)
-		schema = append(schema, rc.schema...)
-		equi, residual := splitEquiConds(t.on, lc.schema, rc.schema)
+		schema = append(schema, b.schema...)
+		_, residual := splitEquiConds(t.on, lc.schema, b.schema)
 		var match func(table.Tuple) bool
 		if residual != nil {
 			match, err = residual.bind(schema)
@@ -179,20 +189,14 @@ func compile(n Node, ctx *compileCtx) (compiled, error) {
 				return compiled{}, err
 			}
 		}
+		// Outside an exchange fragment the probe owns its build.
+		owned := ctx.frag == nil
 		scratch := make(table.Tuple, 0, len(schema))
-		if len(equi) > 0 {
-			it := &hashJoinIter{
-				left: lc.it, right: rc.it, conds: equi, match: match,
-				rightStable: rc.stable, sizeHint: estimateRows(t.right, ctx.src),
-				scratch: scratch,
-			}
+		if len(b.conds) > 0 {
+			it := &hashProbeIter{in: lc.it, build: b, owned: owned, match: match, scratch: scratch}
 			return ctx.wrap("HashJoin", compiled{schema: schema, it: it, stable: false}), nil
 		}
-		it := &loopJoinIter{
-			left: lc.it, right: rc.it, match: match,
-			rightStable: rc.stable, sizeHint: estimateRows(t.right, ctx.src),
-			scratch: scratch,
-		}
+		it := &loopProbeIter{in: lc.it, build: b, owned: owned, match: match, scratch: scratch}
 		return ctx.wrap("NestedLoopJoin", compiled{schema: schema, it: it, stable: false}), nil
 
 	case *projectNode:
@@ -203,7 +207,7 @@ func compile(n Node, ctx *compileCtx) (compiled, error) {
 			// disjunction order.
 			if pc, ok := tryExchange(&projectNode{input: t.input, cols: t.cols}, ctx); ok {
 				it := &dedupIter{in: pc.it, clone: !pc.stable}
-				return compiled{schema: pc.schema, it: it, stable: true}, nil
+				return ctx.wrap("Distinct", compiled{schema: pc.schema, it: it, stable: true}), nil
 			}
 		}
 		c, err := compile(t.input, ctx)
@@ -318,6 +322,35 @@ func bindSortKeys(keys []SortKey, s outSchema) ([]func(table.Tuple) table.Value,
 	return evals, nil
 }
 
+// joinBuild compiles a join's right input into its build. Outside an
+// exchange fragment every join gets its own build, compiled in ctx. Inside
+// one, the first worker to reach the join compiles the build serially (no
+// nested exchange: it drains once, before the workers launch) and every
+// later worker shares it.
+func (ctx *compileCtx) joinBuild(t *joinNode, left outSchema) (*joinBuild, error) {
+	bctx := ctx
+	if f := ctx.frag; f != nil {
+		if b := f.sh.builds[t]; b != nil {
+			return b, nil
+		}
+		bctx = &compileCtx{src: ctx.src, stats: f.sh.stats}
+	}
+	rc, err := compile(t.right, bctx)
+	if err != nil {
+		return nil, err
+	}
+	conds, _ := splitEquiConds(t.on, left, rc.schema)
+	b := &joinBuild{
+		in: rc.it, schema: rc.schema, stable: rc.stable, conds: conds,
+		sizeHint: estimateRows(t.right, ctx.src),
+	}
+	if f := ctx.frag; f != nil {
+		f.sh.builds[t] = b
+		f.sh.buildOrder = append(f.sh.buildOrder, b)
+	}
+	return b, nil
+}
+
 // provFetcher builds the per-tuple provenance lookup for one scanned
 // relation, hoisting source-specific work out of the row loop: an uncertain
 // database resolves its variable column once (the generic Source path would
@@ -401,29 +434,31 @@ func appendDedupKey(buf []byte, t table.Tuple) []byte {
 	return buf
 }
 
-// scanIter streams a base relation, applying any filters fused in from
-// selections directly above the scan. Filters run before the provenance
-// fetch, and returned tuples alias the relation's immutable storage (the
-// subtree is stable). The raw tuple count — before filtering — feeds the
-// run's rows-scanned counter.
+// scanIter streams the rows [lo, hi) of a base relation — all of it in a
+// serial tree, one morsel at a time when it drives an exchange fragment —
+// applying any filters fused in from selections directly above the scan.
+// Filters run before the provenance fetch, and returned tuples alias the
+// relation's immutable storage (the subtree is stable). The raw tuple
+// count — before filtering — feeds the rows-scanned counter.
 type scanIter struct {
 	rel     *table.Relation
 	prov    func(i int) boolexpr.Expr
 	filters []func(table.Tuple) bool
 	stats   *execStats
+	lo, hi  int
 	i       int
 }
 
 // Open implements iter.
 func (s *scanIter) Open() error {
-	s.i = 0
+	s.i = s.lo
 	return nil
 }
 
 // Next implements iter.
 func (s *scanIter) Next() (Row, bool, error) {
 scan:
-	for s.i < s.rel.Len() {
+	for s.i < s.hi {
 		i := s.i
 		s.i++
 		s.stats.scanned++
@@ -600,25 +635,185 @@ func (d *dedupIter) Close() {
 	d.in.Close()
 }
 
-// hashJoinIter executes an equi-join: the right input is drained into a
-// hash table on the first Next (pre-sized from base-relation cardinalities
-// when a bound is known), then left rows stream through, probing the table
-// and emitting concatenations into a reused scratch tuple. Output order
-// matches the materializing executor: left input order, then right build
-// order within a key. NULL key components never match, on either side. The
-// joined row's provenance conjunction is only computed for rows that
-// survive the residual predicate.
-type hashJoinIter struct {
-	left, right iter
-	conds       []equiCond
-	match       func(table.Tuple) bool
-	rightStable bool
-	sizeHint    int
+// buildPart is one partition of a hash-join build index: the key index
+// and bucket lists for the build rows whose key hash falls in this
+// partition. Bucket lists hold build-row indices in ascending order, so
+// every probe emits its matches in build order.
+type buildPart struct {
+	index map[string]int32
+	lists [][]int32
+}
 
-	built  bool
-	index  map[string]int32
-	lists  [][]int32
+// joinBuild materializes one join's right input: its rows in input order
+// (NULL-key rows of an equi-join skipped, since NULL never joins) and, for
+// an equi-join, a key index split into hash partitions built concurrently.
+// A serial join's probe owns its build, runs it on its first Next and
+// closes it; an exchange shares one build between all its workers, runs it
+// before they launch and closes it after they finish. Once run returns the
+// build is immutable and safe for concurrent probes.
+type joinBuild struct {
+	in       iter
+	schema   outSchema
+	stable   bool
+	conds    []equiCond // empty for theta (nested-loop) builds
+	sizeHint int
+
 	rows   []Row
+	keyBuf []byte  // equi builds: every kept row's key, back to back
+	offs   []int32 // row i's key is keyBuf[offs[i]:offs[i+1]]
+	parts  []buildPart
+	done   bool
+	err    error
+}
+
+// run drains the build input and indexes it over up to workers hash
+// partitions. Only the first call does the work; later calls return its
+// error.
+func (b *joinBuild) run(workers int) error {
+	if !b.done {
+		b.done = true
+		b.err = b.drain(workers)
+	}
+	return b.err
+}
+
+func (b *joinBuild) drain(workers int) error {
+	if err := b.in.Open(); err != nil {
+		return err
+	}
+	defer b.in.Close()
+	b.rows = make([]Row, 0, clampPreSize(b.sizeHint))
+	if len(b.conds) > 0 {
+		b.offs = make([]int32, 1, cap(b.rows)+1)
+	}
+	for {
+		r, ok, err := b.in.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if len(b.conds) > 0 {
+			start := len(b.keyBuf)
+			nb, keyOK := appendEquiKey(b.keyBuf, r.Tuple, b.conds, false)
+			if !keyOK {
+				b.keyBuf = nb[:start]
+				continue // NULL key never joins
+			}
+			if len(b.offs) == 1 {
+				// First kept key: reserve key bytes for the pre-sized rows,
+				// assuming the later keys are as wide, so the buffer does
+				// not regrow through every size on the way.
+				nb = append(make([]byte, 0, len(nb)*cap(b.rows)), nb...)
+			}
+			b.keyBuf = nb
+			b.offs = append(b.offs, int32(len(nb)))
+		}
+		t := r.Tuple
+		if !b.stable {
+			t = cloneTuple(t)
+		}
+		b.rows = append(b.rows, Row{Tuple: t, Prov: r.Prov})
+	}
+	if len(b.conds) == 0 {
+		return nil // theta build: probes walk rows directly
+	}
+	b.parts = make([]buildPart, max(min(workers, len(b.rows)), 1))
+	if len(b.parts) == 1 {
+		// One partition needs no key hashes: probes go straight to it.
+		b.parts[0] = b.index(0, nil)
+		return nil
+	}
+	hashes := make([]uint64, len(b.rows))
+	for i := range hashes {
+		hashes[i] = fnv64(b.key(i))
+	}
+	var wg sync.WaitGroup
+	for p := range b.parts {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			b.parts[p] = b.index(p, hashes)
+		}(p)
+	}
+	wg.Wait()
+	return nil
+}
+
+// key returns build row i's join key.
+func (b *joinBuild) key(i int) []byte { return b.keyBuf[b.offs[i]:b.offs[i+1]] }
+
+// index builds hash partition p of b.parts: the build rows whose key hash
+// falls in p (every row when hashes is nil), inserted in ascending row
+// order. The map is sized from the rows drained, not from the cardinality
+// hint.
+func (b *joinBuild) index(p int, hashes []uint64) buildPart {
+	nparts := len(b.parts)
+	part := buildPart{index: make(map[string]int32, min(len(b.rows)/nparts+1, maxPreSize))}
+	for i := range b.rows {
+		if hashes != nil && hashes[i]%uint64(nparts) != uint64(p) {
+			continue
+		}
+		key := b.key(i)
+		if id, hit := part.index[string(key)]; hit {
+			part.lists[id] = append(part.lists[id], int32(i))
+		} else {
+			part.index[string(key)] = int32(len(part.lists))
+			part.lists = append(part.lists, []int32{int32(i)})
+		}
+	}
+	return part
+}
+
+// bucket returns the ascending build-row indices matching key, or nil.
+func (b *joinBuild) bucket(key []byte) []int32 {
+	part := &b.parts[0]
+	if len(b.parts) > 1 {
+		part = &b.parts[fnv64(key)%uint64(len(b.parts))]
+	}
+	if id, hit := part.index[string(key)]; hit {
+		return part.lists[id]
+	}
+	return nil
+}
+
+// close releases the build input if run never drained it (the tree was
+// closed before the first Next, or an earlier build errored) and drops
+// the materialized rows and index.
+func (b *joinBuild) close() {
+	if !b.done {
+		b.done = true
+		b.in.Close()
+	}
+	b.rows, b.parts, b.keyBuf, b.offs = nil, nil, nil, nil
+}
+
+// fnv64 is FNV-1a over the key bytes, used to assign build keys to
+// partitions and route probes to the owning partition.
+func fnv64(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// hashProbeIter executes an equi-join: left rows stream through, probing
+// the build's key index and emitting concatenations into a reused scratch
+// tuple. Output order matches the materializing executor: left input
+// order, then build order within a key. NULL key components never match,
+// on either side. The joined row's provenance conjunction is only computed
+// for rows that survive the residual predicate. An owned build runs on
+// the first Next, so a Limit above that never pulls (LIMIT 0) never
+// drains it.
+type hashProbeIter struct {
+	in    iter
+	build *joinBuild
+	owned bool
+	match func(table.Tuple) bool
+
 	buf    []byte
 	cur    Row
 	have   bool
@@ -629,26 +824,21 @@ type hashJoinIter struct {
 }
 
 // Open implements iter.
-func (j *hashJoinIter) Open() error {
-	j.built, j.index, j.lists, j.rows = false, nil, nil, nil
+func (j *hashProbeIter) Open() error {
 	j.have, j.bucket, j.bi = false, nil, 0
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	return j.right.Open()
+	return j.in.Open()
 }
 
 // Next implements iter.
-func (j *hashJoinIter) Next() (Row, bool, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
+func (j *hashProbeIter) Next() (Row, bool, error) {
+	if j.owned {
+		if err := j.build.run(1); err != nil {
 			return Row{}, false, err
 		}
-		j.built = true
 	}
 	for {
 		for j.have && j.bi < len(j.bucket) {
-			r := j.rows[j.bucket[j.bi]]
+			r := j.build.rows[j.bucket[j.bi]]
 			j.bi++
 			t := append(append(j.scratch[:0], j.cur.Tuple...), r.Tuple...)
 			if j.match != nil && !j.match(t) {
@@ -656,105 +846,62 @@ func (j *hashJoinIter) Next() (Row, bool, error) {
 			}
 			return Row{Tuple: t, Prov: j.cur.Prov.And(r.Prov)}, true, nil
 		}
-		l, ok, err := j.left.Next()
+		l, ok, err := j.in.Next()
 		if err != nil || !ok {
 			return Row{}, false, err
 		}
-		key, keyOK := appendEquiKey(j.buf[:0], l.Tuple, j.conds, true)
+		key, keyOK := appendEquiKey(j.buf[:0], l.Tuple, j.build.conds, true)
 		j.buf = key
 		if !keyOK {
 			continue
 		}
 		j.cur, j.have, j.bi = l, true, 0
-		if id, hit := j.index[string(key)]; hit {
-			j.bucket = j.lists[id]
-		} else {
-			j.bucket = nil
-		}
-	}
-}
-
-// build drains the right input into the hash table. Buckets hold row
-// indices (grouped per key via an index map to a shared list table) so
-// inserting into an existing bucket allocates no key string.
-func (j *hashJoinIter) build() error {
-	size := clampPreSize(j.sizeHint)
-	j.index = make(map[string]int32, size)
-	j.rows = make([]Row, 0, size)
-	for {
-		r, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		key, keyOK := appendEquiKey(j.buf[:0], r.Tuple, j.conds, false)
-		j.buf = key
-		if !keyOK {
-			continue // NULL key never joins
-		}
-		t := r.Tuple
-		if !j.rightStable {
-			t = cloneTuple(t)
-		}
-		j.rows = append(j.rows, Row{Tuple: t, Prov: r.Prov})
-		ri := int32(len(j.rows) - 1)
-		if id, hit := j.index[string(key)]; hit {
-			j.lists[id] = append(j.lists[id], ri)
-		} else {
-			j.index[string(key)] = int32(len(j.lists))
-			j.lists = append(j.lists, []int32{ri})
-		}
+		j.bucket = j.build.bucket(key)
 	}
 }
 
 // Close implements iter.
-func (j *hashJoinIter) Close() {
-	j.index, j.lists, j.rows = nil, nil, nil
-	j.left.Close()
-	j.right.Close()
+func (j *hashProbeIter) Close() {
+	if j.owned {
+		j.build.close()
+	}
+	j.in.Close()
 }
 
-// loopJoinIter executes a theta join by materializing the right input once
-// and nested-looping left rows against it, concatenating into a reused
-// scratch tuple. As in the hash path, the provenance conjunction is only
-// computed for rows that pass the join predicate.
-type loopJoinIter struct {
-	left, right iter
-	match       func(table.Tuple) bool
-	rightStable bool
-	sizeHint    int
+// loopProbeIter executes a theta join: every left row nested-loops against
+// the build rows, in build order, concatenating into a reused scratch
+// tuple. As in the hash probe, the provenance conjunction is only
+// computed for rows that pass the join predicate, and an owned build runs
+// on the first Next.
+type loopProbeIter struct {
+	in    iter
+	build *joinBuild
+	owned bool
+	match func(table.Tuple) bool
 
-	built bool
-	rows  []Row
-	cur   Row
-	have  bool
-	ri    int
+	cur  Row
+	have bool
+	ri   int
 
 	scratch table.Tuple
 }
 
 // Open implements iter.
-func (j *loopJoinIter) Open() error {
-	j.built, j.rows, j.have, j.ri = false, nil, false, 0
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	return j.right.Open()
+func (j *loopProbeIter) Open() error {
+	j.have, j.ri = false, 0
+	return j.in.Open()
 }
 
 // Next implements iter.
-func (j *loopJoinIter) Next() (Row, bool, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
+func (j *loopProbeIter) Next() (Row, bool, error) {
+	if j.owned {
+		if err := j.build.run(1); err != nil {
 			return Row{}, false, err
 		}
-		j.built = true
 	}
 	for {
-		for j.have && j.ri < len(j.rows) {
-			r := j.rows[j.ri]
+		for j.have && j.ri < len(j.build.rows) {
+			r := j.build.rows[j.ri]
 			j.ri++
 			t := append(append(j.scratch[:0], j.cur.Tuple...), r.Tuple...)
 			if j.match != nil && !j.match(t) {
@@ -762,7 +909,7 @@ func (j *loopJoinIter) Next() (Row, bool, error) {
 			}
 			return Row{Tuple: t, Prov: j.cur.Prov.And(r.Prov)}, true, nil
 		}
-		l, ok, err := j.left.Next()
+		l, ok, err := j.in.Next()
 		if err != nil || !ok {
 			return Row{}, false, err
 		}
@@ -770,30 +917,12 @@ func (j *loopJoinIter) Next() (Row, bool, error) {
 	}
 }
 
-func (j *loopJoinIter) build() error {
-	size := clampPreSize(j.sizeHint)
-	j.rows = make([]Row, 0, size)
-	for {
-		r, ok, err := j.right.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		t := r.Tuple
-		if !j.rightStable {
-			t = cloneTuple(t)
-		}
-		j.rows = append(j.rows, Row{Tuple: t, Prov: r.Prov})
-	}
-}
-
 // Close implements iter.
-func (j *loopJoinIter) Close() {
-	j.rows = nil
-	j.left.Close()
-	j.right.Close()
+func (j *loopProbeIter) Close() {
+	if j.owned {
+		j.build.close()
+	}
+	j.in.Close()
 }
 
 // sortIter is the pipeline-breaking ORDER BY operator: it drains its input

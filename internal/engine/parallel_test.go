@@ -3,10 +3,13 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"qres/internal/datagen"
 	"qres/internal/engine"
 	"qres/internal/obs"
+	"qres/internal/sqlparse"
 	"qres/internal/table"
 	"qres/internal/uncertain"
 )
@@ -290,7 +293,7 @@ func TestParallelRandomPlans(t *testing.T) {
 				t.Fatalf("reference failed on generated plan: %v", err)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
-				got, err := engine.RunWith(udb, plan, engine.Exec{Workers: w, MorselSize: 8})
+				got, err := engine.RunWith(udb, plan, engine.WithMorselSize(engine.Exec{Workers: w}, 8))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -325,7 +328,7 @@ func TestParallelWorkerDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.RunWith(udb, plan, engine.Exec{MorselSize: 8}) // Workers: 0
+	got, err := engine.RunWith(udb, plan, engine.WithMorselSize(engine.Exec{}, 8)) // Workers: 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +352,7 @@ func TestParallelObservability(t *testing.T) {
 		engine.Cmp(engine.Col("a", "k"), engine.OpEq, engine.Col("b", "k")))
 	reg := obs.NewRegistry()
 	o := obs.New("test", nil, reg)
-	if _, err := engine.RunWith(udb, plan, engine.Exec{Workers: 4, MorselSize: 8, Obs: o}); err != nil {
+	if _, err := engine.RunWith(udb, plan, engine.WithMorselSize(engine.Exec{Workers: 4, Obs: o}, 8)); err != nil {
 		t.Fatal(err)
 	}
 	counter := func(name string) int64 { return reg.Counter(name, "test").Value() }
@@ -366,5 +369,54 @@ func TestParallelObservability(t *testing.T) {
 	}
 	if got := counter("engine_rows_scanned_total"); got == 0 {
 		t.Error("engine_rows_scanned_total not incremented on the parallel path")
+	}
+}
+
+// TestParallelTracing pins that tracing never changes the executor: a
+// traced 2-worker run of TPC-H Q3 still fans out — it claims morsels and
+// reports its exchange as one Exchange query_op span, next to a span for
+// the DISTINCT merged above it — and returns exactly Run's rows.
+func TestParallelTracing(t *testing.T) {
+	udb := datagen.TPCH(datagen.TPCHConfig{SF: 0.01, Seed: 7})
+	plan, err := sqlparse.ParseAndCompile(datagen.TPCHQueries()["Q3"], udb.Data())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.Run(udb, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	sink := &obs.Collector{}
+	got, err := engine.RunWith(udb, plan, engine.Exec{Obs: obs.New("test", sink, reg), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("engine_morsels_total", "test").Value(); n == 0 {
+		t.Error("traced 2-worker run claimed no morsels")
+	}
+	ops := map[string]int{}
+	for _, ev := range sink.Events() {
+		if ev.Stage != obs.StageQueryOperator {
+			continue
+		}
+		for _, a := range ev.Attrs {
+			if a.Key == "op" {
+				label, _ := a.Value.(string)
+				ops[strings.SplitN(label, "[", 2)[0]]++
+			}
+		}
+	}
+	if ops["Exchange"] != 1 || ops["Distinct"] != 1 {
+		t.Errorf("query_op spans %v: want one Exchange and one Distinct", ops)
+	}
+	if len(want.Rows) == 0 || len(want.Rows) != len(got.Rows) {
+		t.Fatalf("row count: Run %d vs traced parallel %d", len(want.Rows), len(got.Rows))
+	}
+	for i := range want.Rows {
+		if want.Rows[i].Tuple.Key() != got.Rows[i].Tuple.Key() || !want.Rows[i].Prov.Equal(got.Rows[i].Prov) {
+			t.Fatalf("row %d: Run %s %s vs traced parallel %s %s", i,
+				want.Rows[i].Tuple, want.Rows[i].Prov, got.Rows[i].Tuple, got.Rows[i].Prov)
+		}
 	}
 }

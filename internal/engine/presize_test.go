@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -75,43 +76,6 @@ func TestPreSizeCapRegression(t *testing.T) {
 		}
 	}
 
-	t.Run("hashJoin", func(t *testing.T) {
-		j := &hashJoinIter{
-			left: in(3), right: in(5),
-			conds:       []equiCond{{leftIdx: 0, rightIdx: 0}},
-			rightStable: true, sizeHint: hint,
-			scratch: make(table.Tuple, 0, 2),
-		}
-		if err := j.Open(); err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		if _, _, err := j.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if cap(j.rows) > maxPreSize {
-			t.Fatalf("hash join build pre-allocated %d rows, cap is %d", cap(j.rows), maxPreSize)
-		}
-	})
-
-	t.Run("loopJoin", func(t *testing.T) {
-		j := &loopJoinIter{
-			left: in(3), right: in(5),
-			rightStable: true, sizeHint: hint,
-			scratch: make(table.Tuple, 0, 2),
-		}
-		if err := j.Open(); err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		if _, _, err := j.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if cap(j.rows) > maxPreSize {
-			t.Fatalf("loop join build pre-allocated %d rows, cap is %d", cap(j.rows), maxPreSize)
-		}
-	})
-
 	t.Run("sort", func(t *testing.T) {
 		s := &sortIter{in: in(5), sizeHint: hint}
 		if err := s.Open(); err != nil {
@@ -134,17 +98,33 @@ func TestPreSizeCapRegression(t *testing.T) {
 		}
 	})
 
-	t.Run("sharedBuild", func(t *testing.T) {
-		b := &sharedBuild{
-			in: in(5), stable: true,
-			conds:    []equiCond{{leftIdx: 0, rightIdx: 0}},
-			sizeHint: hint,
-		}
-		if err := b.run(4); err != nil {
-			t.Fatal(err)
-		}
-		if cap(b.rows) > maxPreSize {
-			t.Fatalf("shared build pre-allocated %d rows, cap is %d", cap(b.rows), maxPreSize)
+	// Every join, serial or inside an exchange, materializes its right
+	// input through one joinBuild: cover its equi (hash-indexed) and theta
+	// (row list only) forms at one partition and at four.
+	t.Run("build", func(t *testing.T) {
+		for _, kind := range []string{"equi", "theta"} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s,workers=%d", kind, workers), func(t *testing.T) {
+					b := &joinBuild{in: in(5), stable: true, sizeHint: hint}
+					if kind == "equi" {
+						b.conds = []equiCond{{leftIdx: 0, rightIdx: 0}}
+					}
+					if err := b.run(workers); err != nil {
+						t.Fatal(err)
+					}
+					defer b.close()
+					if len(b.rows) != 5 {
+						t.Fatalf("build drained %d rows, want 5", len(b.rows))
+					}
+					if cap(b.rows) > maxPreSize {
+						t.Fatalf("%s build pre-allocated %d rows, cap is %d", kind, cap(b.rows), maxPreSize)
+					}
+					if kind == "equi" && (cap(b.offs) > maxPreSize+1 || cap(b.keyBuf) > maxPreSize*len(b.key(0))) {
+						t.Fatalf("equi build pre-allocated %d key offsets and %d key bytes for %d-byte keys, cap is %d keys",
+							cap(b.offs), cap(b.keyBuf), len(b.key(0)), maxPreSize)
+					}
+				})
+			}
 		}
 	})
 }

@@ -39,7 +39,7 @@ func assertEquivalent(t *testing.T, udb *uncertain.DB, plan engine.Node) {
 			mode = "streaming"
 			got, gerr = engine.Run(udb, plan)
 		} else {
-			got, gerr = engine.RunWith(udb, plan, engine.Exec{Workers: w, MorselSize: testMorselSize})
+			got, gerr = engine.RunWith(udb, plan, engine.WithMorselSize(engine.Exec{Workers: w}, testMorselSize))
 		}
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("error mismatch: reference=%v %s=%v", werr, mode, gerr)
@@ -82,7 +82,7 @@ func assertEquivalentErr(t *testing.T, udb *uncertain.DB, plan engine.Node) {
 	if werr.Error() != gerr.Error() {
 		t.Fatalf("error text mismatch:\nreference: %v\nstreaming: %v", werr, gerr)
 	}
-	_, perr := engine.RunWith(udb, plan, engine.Exec{Workers: 4, MorselSize: testMorselSize})
+	_, perr := engine.RunWith(udb, plan, engine.WithMorselSize(engine.Exec{Workers: 4}, testMorselSize))
 	if perr == nil || perr.Error() != werr.Error() {
 		t.Fatalf("error text mismatch:\nreference: %v\nparallel(4): %v", werr, perr)
 	}
@@ -349,7 +349,7 @@ func TestEngineObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &obs.Collector{}
 	o := obs.New("test", sink, reg)
-	if _, err := engine.RunObserved(udb, testdb.PaperQuery(), o); err != nil {
+	if _, err := engine.RunWith(udb, testdb.PaperQuery(), engine.Exec{Obs: o, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	counter := func(name string) int64 { return reg.Counter(name, "test").Value() }
@@ -386,7 +386,7 @@ func TestEngineObservability(t *testing.T) {
 	// Without a sink the same run keeps counters but skips per-op spans.
 	reg2 := obs.NewRegistry()
 	o2 := obs.New("test", nil, reg2)
-	if _, err := engine.RunObserved(udb, testdb.PaperQuery(), o2); err != nil {
+	if _, err := engine.RunWith(udb, testdb.PaperQuery(), engine.Exec{Obs: o2, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg2.Counter("engine_rows_scanned_total", "test").Value(); got == 0 {
