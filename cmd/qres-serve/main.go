@@ -48,9 +48,8 @@ func main() {
 		seed        = flag.Int64("seed", 1, "generation seed (with -data tpch or nell)")
 		storeDir    = flag.String("store", "", "probes store directory (empty: in-memory only)")
 		storeDirAlt = flag.String("store-dir", "", "alias for -store")
-		storeEngine = flag.String("store-engine", "segmented", "storage engine: segmented | flat")
-		segBytes    = flag.Int64("wal-segment-bytes", 4<<20, "segmented engine: live WAL segment rotation bound")
-		compactIntv = flag.Duration("compact-interval", time.Minute, "segmented engine: background compaction interval (<=0 disables)")
+		segBytes    = flag.Int64("wal-segment-bytes", 4<<20, "store: live WAL segment rotation bound")
+		compactIntv = flag.Duration("compact-interval", time.Minute, "store: background compaction interval (<=0 disables)")
 		maxSessions = flag.Int("max-sessions", 64, "maximum concurrently live sessions")
 		ttl         = flag.Duration("ttl", 30*time.Minute, "idle session time-to-live")
 		shardW      = flag.Int("shard-workers", 0, "default component-shard workers per session (0 = per CPU, 1 = serial)")
@@ -69,8 +68,7 @@ func main() {
 	}
 	opts := serveOptions{
 		addr: *addr, data: *data, sf: *sf, athletes: *athletes, seed: *seed,
-		storeDir: dir, storeEngine: *storeEngine,
-		segmentBytes: *segBytes, compactInterval: *compactIntv,
+		storeDir: dir, segmentBytes: *segBytes, compactInterval: *compactIntv,
 		maxSessions: *maxSessions, ttl: *ttl,
 		shardWorkers: *shardW, engineWorkers: *engineW,
 		tracePath: *tracePath, slowPath: *slowPath,
@@ -88,7 +86,6 @@ type serveOptions struct {
 	athletes              int
 	seed                  int64
 	storeDir              string
-	storeEngine           string
 	segmentBytes          int64
 	compactInterval       time.Duration
 	maxSessions           int
@@ -98,28 +95,6 @@ type serveOptions struct {
 	tracePath, slowPath   string
 	slowAfter, stallAfter time.Duration
 	debugAddr             string
-}
-
-// openProbeStore opens the configured storage engine. The segmented engine
-// (default) migrates a flat-store directory in place on first open, so
-// switching engines needs no manual conversion; -store-engine flat keeps
-// the original per-append-fsync JSONL store (and reads only flat
-// directories).
-func openProbeStore(o serveOptions, udb *uncertain.DB, reg *obs.Registry) (server.ProbeStore, *resolve.Repository, error) {
-	switch o.storeEngine {
-	case "segmented", "":
-		return store.Open(o.storeDir, store.Options{
-			NameFn:          udb.Registry().Name,
-			ResolveFn:       udb.Registry().Lookup,
-			SegmentBytes:    o.segmentBytes,
-			CompactInterval: o.compactInterval,
-			Metrics:         reg,
-		})
-	case "flat":
-		return resolve.OpenStore(o.storeDir, udb.Registry().Name, udb.Registry().Lookup)
-	default:
-		return nil, nil, fmt.Errorf("unknown store engine %q (want segmented or flat)", o.storeEngine)
-	}
 }
 
 // loadDB builds the uncertain database the service hosts.
@@ -181,12 +156,18 @@ func run(o serveOptions) error {
 		cfg.SlowLog = sink
 	}
 	if o.storeDir != "" {
-		st, repo, err := openProbeStore(o, udb, reg)
+		st, repo, err := store.Open(o.storeDir, store.Options{
+			NameFn:          udb.Registry().Name,
+			ResolveFn:       udb.Registry().Lookup,
+			SegmentBytes:    o.segmentBytes,
+			CompactInterval: o.compactInterval,
+			Metrics:         reg,
+		})
 		if err != nil {
 			return fmt.Errorf("open store: %w", err)
 		}
-		log.Printf("store %s (%s): recovered %d known probes (%d from WAL)",
-			o.storeDir, o.storeEngine, repo.Len(), st.WALRecords())
+		log.Printf("store %s: recovered %d known probes (%d from WAL)",
+			o.storeDir, repo.Len(), st.WALRecords())
 		cfg.Store = st
 		cfg.Repo = repo
 	}

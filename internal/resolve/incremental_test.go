@@ -181,7 +181,7 @@ func TestIncrementalEquivalenceSynthetic(t *testing.T) {
 			run := func(disable bool, workers int) ([]boolexpr.Var, []RowStatus, *Stats) {
 				c := cfg
 				c.DisableIncremental = disable
-				c.RescoreWorkers = workers
+				c.Parallel.Rescore = workers
 				rec := oracle.NewRecorder(oracle.NewGroundTruth(gt.Val))
 				sess, err := NewSession(udb, res, rec, seedRepo.Clone(), c)
 				if err != nil {

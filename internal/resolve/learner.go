@@ -149,12 +149,11 @@ type LearnerConfig struct {
 	// ForestWorkers bounds forest-training parallelism (0 = one worker
 	// per CPU, 1 = serial). Models are bit-identical for any value.
 	ForestWorkers int
-	// FullRetrain disables the warm-started retrain path: every
+	// fullRetrain disables the warm-started retrain path: every
 	// (re)training pass rebuilds the encoder and re-encodes the whole
 	// repository, as the pre-warm-start implementation did. Models are
-	// identical either way; the switch exists for benchmarking the
-	// speedup and as an escape hatch.
-	FullRetrain bool
+	// identical either way; only the warm-start equivalence tests set it.
+	fullRetrain bool
 	// LAL scores uncertainty reduction in online mode; nil disables it
 	// (scores become 0 and the selector degenerates to utility-only).
 	LAL *learn.LAL
@@ -195,7 +194,7 @@ func NewLearner(db *uncertain.DB, repo *Repository, cfg LearnerConfig) *Learner 
 		minTrain:       cfg.MinTrain,
 		seed:           cfg.Seed,
 		forestWorkers:  cfg.ForestWorkers,
-		fullRetrain:    cfg.FullRetrain,
+		fullRetrain:    cfg.fullRetrain,
 		knownProbs:     cfg.KnownProbs,
 		obs:            cfg.Obs,
 		stallThreshold: cfg.StallThreshold,

@@ -26,7 +26,7 @@ func seedRepository(n int) *Repository {
 }
 
 // TestWarmRetrainMatchesFullRetrain runs the same online session once with
-// the warm-started retrain path and once with FullRetrain: probe
+// the warm-started retrain path and once with fullRetrain: probe
 // sequences, probe counts and resolved answers must be bit-identical,
 // because encoder reuse and append-only encoding reproduce exactly the
 // matrix a cold rebuild encodes.
@@ -39,7 +39,7 @@ func TestWarmRetrainMatchesFullRetrain(t *testing.T) {
 		rec := oracle.NewRecorder(oracle.NewGroundTruth(gt.Val))
 		sess, err := NewSession(udb, res, rec, seed.Clone(), Config{
 			Utility: General{}, Learning: LearnOnline, Seed: 9,
-			MinTrain: 20, Trees: 25, FullRetrain: full,
+			MinTrain: 20, Trees: 25, fullRetrain: full,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestWarmRetrainProbsMatchFull(t *testing.T) {
 	mk := func(full bool) *Learner {
 		return NewLearner(udb, seedRepository(25), LearnerConfig{
 			Mode: LearnOnline, Trees: 20, MinTrain: 20, Seed: 3,
-			FullRetrain: full,
+			fullRetrain: full,
 		})
 	}
 	warm, cold := mk(false), mk(true)

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"qres/internal/boolexpr"
 )
@@ -14,8 +12,9 @@ import (
 // Repository persistence: the paper's Known Probes Repository outlives a
 // single session — answers collected for one query seed the Learner for
 // the next (Section 4). SaveJSON/LoadJSON serialize the repository as
-// JSONL, one probe record per line; SaveJSONFile adds crash consistency
-// (temp file + fsync + atomic rename) for on-disk snapshots.
+// JSONL, one probe record per line. Durable serving-mode storage lives in
+// the internal/store package; this format is the portable export and the
+// layout of legacy store directories that package migrates.
 //
 // Variable identifiers are only meaningful relative to the uncertain
 // database they were allocated for; records therefore persist the
@@ -38,63 +37,15 @@ func (r *Repository) SaveJSON(w io.Writer, name func(boolexpr.Var) string) error
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, rec := range records {
-		if err := enc.Encode(encodeProbe(rec, name)); err != nil {
+		jp := jsonProbe{Meta: rec.Meta, Answer: rec.Answer}
+		if rec.HasVar && name != nil {
+			jp.Var = name(rec.Var)
+		}
+		if err := enc.Encode(jp); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// encodeProbe converts a record to its serialized form.
-func encodeProbe(rec ProbeRecord, name func(boolexpr.Var) string) jsonProbe {
-	jp := jsonProbe{Meta: rec.Meta, Answer: rec.Answer}
-	if rec.HasVar && name != nil {
-		jp.Var = name(rec.Var)
-	}
-	return jp
-}
-
-// SaveJSONFile writes the repository snapshot crash-consistently: the
-// records are encoded into a temporary file in the destination directory,
-// fsynced, and atomically renamed over path, so a crash mid-write never
-// leaves a truncated snapshot where a complete one (or none) used to be.
-func (r *Repository) SaveJSONFile(path string, name func(boolexpr.Var) string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := r.SaveJSON(tmp, name); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a rename within it is durable. Errors are
-// reported, but platforms where directories cannot be fsynced are not
-// treated as failures.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		return err
-	}
-	return nil
 }
 
 // LoadJSON reads records written by SaveJSON into a new repository.
@@ -105,19 +56,9 @@ func syncDir(dir string) error {
 // A malformed final line is skipped rather than failing the whole restore:
 // it is the signature of a crash mid-append to a write-ahead log, and every
 // complete line before it is still good. Corruption followed by further
-// well-formed lines is still an error — that is damage, not truncation.
+// non-empty lines is still an error naming the damaged line — that is
+// damage, not truncation.
 func LoadJSON(rd io.Reader, resolve func(name string) (boolexpr.Var, bool)) (*Repository, error) {
-	repo, _, err := loadJSON(rd, resolve)
-	return repo, err
-}
-
-// LoadJSONStats is LoadJSON, additionally reporting whether a truncated
-// trailing line was skipped (so callers can log the partial write).
-func LoadJSONStats(rd io.Reader, resolve func(name string) (boolexpr.Var, bool)) (repo *Repository, truncated bool, err error) {
-	return loadJSON(rd, resolve)
-}
-
-func loadJSON(rd io.Reader, resolve func(name string) (boolexpr.Var, bool)) (*Repository, bool, error) {
 	repo := NewRepository()
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -131,8 +72,8 @@ func loadJSON(rd io.Reader, resolve func(name string) (boolexpr.Var, bool)) (*Re
 			continue
 		}
 		if badLine != 0 {
-			// A well-formed line after a bad one: mid-file corruption.
-			return nil, false, fmt.Errorf("resolve: probes line %d: %w", badLine, badErr)
+			// Another line after a bad one: mid-file corruption.
+			return nil, fmt.Errorf("resolve: probes line %d: %w", badLine, badErr)
 		}
 		var jp jsonProbe
 		if err := json.Unmarshal(raw, &jp); err != nil {
@@ -148,11 +89,8 @@ func loadJSON(rd io.Reader, resolve func(name string) (boolexpr.Var, bool)) (*Re
 		repo.Add(jp.Meta, jp.Answer)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if badLine != 0 {
-		// The undecodable line was the last one: a torn trailing write.
-		return repo, true, nil
-	}
-	return repo, false, nil
+	// A pending bad line was the last one: a torn trailing write, skipped.
+	return repo, nil
 }

@@ -2,9 +2,6 @@ package resolve
 
 import (
 	"bytes"
-	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -77,9 +74,13 @@ func TestLoadJSONUnresolvedNamesDegradeToTraining(t *testing.T) {
 func TestLoadJSONErrors(t *testing.T) {
 	// Corruption followed by more well-formed data is damage, not a torn
 	// trailing write, and must fail the restore.
-	input := "not json\n" + `{"answer":true}` + "\n"
-	if _, err := LoadJSON(strings.NewReader(input), nil); err == nil {
+	input := `{"answer":false}` + "\n" + "not json\n" + `{"answer":true}` + "\n"
+	_, err := LoadJSON(strings.NewReader(input), nil)
+	if err == nil {
 		t.Fatal("mid-file garbage accepted")
+	}
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("error %q does not name the damaged line 2", err)
 	}
 }
 
@@ -89,274 +90,19 @@ func TestLoadJSONSkipsTruncatedTrailingLine(t *testing.T) {
 	input := `{"meta":{"source":"x"},"answer":true}` + "\n" +
 		`{"meta":{"source":"y"},"answer":false}` + "\n" +
 		`{"meta":{"source":"z"},"ans` // truncated mid-write
-	repo, truncated, err := LoadJSONStats(strings.NewReader(input), nil)
+	repo, err := LoadJSON(strings.NewReader(input), nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !truncated {
-		t.Error("truncated trailing line not reported")
 	}
 	if repo.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (torn line skipped)", repo.Len())
 	}
 	// A file that is nothing but one torn line restores to empty.
-	repo2, truncated2, err := LoadJSONStats(strings.NewReader("not json"), nil)
+	repo2, err := LoadJSON(strings.NewReader("not json"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !truncated2 || repo2.Len() != 0 {
-		t.Errorf("single torn line: truncated=%v len=%d, want true, 0", truncated2, repo2.Len())
-	}
-}
-
-func TestStoreRepairsTornWALOnRecovery(t *testing.T) {
-	reg := boolexpr.NewRegistry()
-	a := reg.Intern("facts[0]")
-	b := reg.Intern("facts[1]")
-	name := reg.Name
-	resolveFn := func(n string) (boolexpr.Var, bool) { return reg.Lookup(n) }
-
-	// A WAL with one complete record and a torn trailing write.
-	dir := t.TempDir()
-	torn := `{"var":"facts[0]","meta":{"source":"x"},"answer":true}` + "\n" +
-		`{"var":"facts[1]","meta":{"sou` // crash mid-append
-	if err := os.WriteFile(filepath.Join(dir, walFile), []byte(torn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	store, repo, err := OpenStore(dir, name, resolveFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repo.Len() != 1 {
-		t.Fatalf("recovered Len = %d, want 1 (torn line dropped)", repo.Len())
-	}
-	// The first append after recovery must start on a clean line boundary,
-	// not concatenate onto the torn fragment.
-	repo.AddVar(b, map[string]string{"source": "y"}, false)
-	if err := store.Append(ProbeRecord{Var: b, HasVar: true, Meta: map[string]string{"source": "y"}, Answer: false}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The next recovery sees only well-formed lines and loses nothing.
-	store2, repo2, err := OpenStore(dir, name, resolveFn)
-	if err != nil {
-		t.Fatalf("recovery after post-repair append: %v", err)
-	}
-	defer store2.Close()
-	if repo2.Len() != 2 {
-		t.Fatalf("second recovery Len = %d, want 2", repo2.Len())
-	}
-	if ans, ok := repo2.Answer(a); !ok || !ans {
-		t.Error("pre-crash answer lost")
-	}
-	if ans, ok := repo2.Answer(b); !ok || ans {
-		t.Error("post-repair answer lost")
-	}
-
-	// Mid-file damage (bad line followed by good ones) is not repaired:
-	// recovery reports it instead of silently dropping acknowledged lines.
-	dir2 := t.TempDir()
-	damaged := "not json\n" + `{"var":"facts[0]","answer":true}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir2, walFile), []byte(damaged), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenStore(dir2, name, resolveFn); err == nil {
-		t.Error("mid-file WAL corruption accepted")
-	}
-	if got, err := os.ReadFile(filepath.Join(dir2, walFile)); err != nil || string(got) != damaged {
-		t.Errorf("damaged WAL modified by failed recovery: %q", got)
-	}
-}
-
-func TestStoreWALCorruptionErrorLocatesDamage(t *testing.T) {
-	// Mid-file damage is reported as a WALCorruptionError carrying the
-	// byte offset of the damaged line and the index of the record it
-	// would have held, so an operator can find (and decide about) the
-	// damage without a hex dump.
-	reg := boolexpr.NewRegistry()
-	reg.Intern("facts[0]")
-	name := reg.Name
-	resolveFn := func(n string) (boolexpr.Var, bool) { return reg.Lookup(n) }
-
-	dir := t.TempDir()
-	good1 := `{"var":"facts[0]","meta":{"source":"x"},"answer":true}` + "\n"
-	bad := "}}corrupt{{" + "\n"
-	good2 := `{"var":"facts[0]","meta":{"source":"y"},"answer":false}` + "\n"
-	damaged := good1 + bad + good2
-	walPath := filepath.Join(dir, walFile)
-	if err := os.WriteFile(walPath, []byte(damaged), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, _, err := OpenStore(dir, name, resolveFn)
-	if err == nil {
-		t.Fatal("mid-file WAL corruption accepted")
-	}
-	var ce *WALCorruptionError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error %v (type %T) does not wrap *WALCorruptionError", err, err)
-	}
-	if ce.Path != walPath {
-		t.Errorf("Path = %q, want %q", ce.Path, walPath)
-	}
-	if want := int64(len(good1)); ce.Offset != want {
-		t.Errorf("Offset = %d, want %d", ce.Offset, want)
-	}
-	if ce.Record != 1 {
-		t.Errorf("Record = %d, want 1", ce.Record)
-	}
-	if ce.Err == nil {
-		t.Error("Err is nil, want the underlying decode failure")
-	}
-	// Reporting must not modify the file.
-	if got, rerr := os.ReadFile(walPath); rerr != nil || string(got) != damaged {
-		t.Errorf("damaged WAL modified by failed recovery: %q", got)
-	}
-}
-
-func TestStoreUpdateExcludesSnapshot(t *testing.T) {
-	reg := boolexpr.NewRegistry()
-	a := reg.Intern("facts[0]")
-	name := reg.Name
-	resolveFn := func(n string) (boolexpr.Var, bool) { return reg.Lookup(n) }
-
-	dir := t.TempDir()
-	store, repo, err := OpenStore(dir, name, resolveFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Repository add + WAL append inside one Update: a snapshot taken at
-	// any point sees both effects or neither, so recovery never replays a
-	// record the snapshot already contains.
-	err = store.Update(func(append func(...ProbeRecord) error) error {
-		repo.AddVar(a, map[string]string{"source": "x"}, true)
-		return append(ProbeRecord{Var: a, HasVar: true, Meta: map[string]string{"source": "x"}, Answer: true})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.WALRecords() != 1 {
-		t.Fatalf("WALRecords = %d, want 1", store.WALRecords())
-	}
-	if err := store.Snapshot(repo); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, repo2, err := OpenStore(dir, name, resolveFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repo2.Len() != 1 {
-		t.Fatalf("recovered Len = %d, want 1 (no duplicate replay)", repo2.Len())
-	}
-}
-
-func TestSaveJSONFileAtomic(t *testing.T) {
-	reg := boolexpr.NewRegistry()
-	a := reg.Intern("facts[0]")
-	repo := NewRepository()
-	repo.AddVar(a, map[string]string{"source": "x"}, true)
-
-	path := filepath.Join(t.TempDir(), "probes.snapshot.jsonl")
-	if err := repo.SaveJSONFile(path, reg.Name); err != nil {
-		t.Fatal(err)
-	}
-	// Overwriting an existing snapshot goes through the same temp+rename.
-	repo.Add(map[string]string{"source": "y"}, false)
-	if err := repo.SaveJSONFile(path, reg.Name); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	back, err := LoadJSON(f, func(name string) (boolexpr.Var, bool) { return reg.Lookup(name) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", back.Len())
-	}
-	// No temp files left behind.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("leftover files in snapshot dir: %v", entries)
-	}
-}
-
-func TestStoreRecoversSnapshotPlusWAL(t *testing.T) {
-	reg := boolexpr.NewRegistry()
-	a := reg.Intern("facts[0]")
-	b := reg.Intern("facts[1]")
-	c := reg.Intern("facts[2]")
-	name := reg.Name
-	resolveFn := func(n string) (boolexpr.Var, bool) { return reg.Lookup(n) }
-
-	dir := t.TempDir()
-	store, repo, err := OpenStore(dir, name, resolveFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repo.Len() != 0 {
-		t.Fatalf("fresh store not empty: %d", repo.Len())
-	}
-
-	// Two answers land in repo + WAL, then a graceful snapshot.
-	repo.AddVar(a, map[string]string{"source": "x"}, true)
-	if err := store.Append(ProbeRecord{Var: a, HasVar: true, Meta: map[string]string{"source": "x"}, Answer: true}); err != nil {
-		t.Fatal(err)
-	}
-	repo.AddVar(b, map[string]string{"source": "y"}, false)
-	if err := store.Append(ProbeRecord{Var: b, HasVar: true, Meta: map[string]string{"source": "y"}, Answer: false}); err != nil {
-		t.Fatal(err)
-	}
-	if store.WALRecords() != 2 {
-		t.Fatalf("WALRecords = %d, want 2", store.WALRecords())
-	}
-	if err := store.Snapshot(repo); err != nil {
-		t.Fatal(err)
-	}
-	if store.WALRecords() != 0 {
-		t.Fatalf("WAL not reset after snapshot: %d", store.WALRecords())
-	}
-
-	// One more answer after the snapshot, then a crash (no snapshot).
-	repo.AddVar(c, map[string]string{"source": "z"}, true)
-	if err := store.Append(ProbeRecord{Var: c, HasVar: true, Meta: map[string]string{"source": "z"}, Answer: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recovery: snapshot (a, b) + WAL replay (c), nothing lost.
-	store2, repo2, err := OpenStore(dir, name, resolveFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if repo2.Len() != 3 {
-		t.Fatalf("recovered Len = %d, want 3", repo2.Len())
-	}
-	for _, tc := range []struct {
-		v    boolexpr.Var
-		want bool
-	}{{a, true}, {b, false}, {c, true}} {
-		if ans, ok := repo2.Answer(tc.v); !ok || ans != tc.want {
-			t.Errorf("answer for %s: got (%v,%v), want (%v,true)", reg.Name(tc.v), ans, ok, tc.want)
-		}
-	}
-	if store2.WALRecords() != 1 {
-		t.Errorf("recovered WALRecords = %d, want 1", store2.WALRecords())
+	if repo2.Len() != 0 {
+		t.Errorf("single torn line: len=%d, want 0", repo2.Len())
 	}
 }

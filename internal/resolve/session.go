@@ -107,9 +107,7 @@ type Config struct {
 
 	// Parallel bounds worker fan-out per dimension (forest training,
 	// incremental rescore, component shards). Zero-valued fields default
-	// to one worker per CPU. It subsumes the deprecated ForestWorkers and
-	// RescoreWorkers fields, which are still honored when the matching
-	// Parallel field is zero.
+	// to one worker per CPU.
 	Parallel Parallelism
 
 	// DisableIncremental turns off incremental scoring: every round then
@@ -128,22 +126,10 @@ type Config struct {
 	// with sharding on or off; the switch exists for benchmarking the
 	// sharded speedup and as an escape hatch.
 	DisableSharding bool
-	// RescoreWorkers bounds the parallelism of the incremental rescore
-	// (default GOMAXPROCS). Results are deterministic for any value.
-	//
-	// Deprecated: set Parallel.Rescore instead. Honored only when
-	// Parallel.Rescore is zero.
-	RescoreWorkers int
-	// ForestWorkers bounds forest-training parallelism in the Learner
-	// (0 = one worker per CPU, 1 = serial). Trained models — and hence
-	// probe choices — are bit-identical for any value.
-	//
-	// Deprecated: set Parallel.Forest instead. Honored only when
-	// Parallel.Forest is zero.
-	ForestWorkers int
-	// FullRetrain disables the Learner's warm-started retrain path (see
-	// LearnerConfig.FullRetrain); models are identical either way.
-	FullRetrain bool
+	// fullRetrain disables the Learner's warm-started retrain path (see
+	// LearnerConfig.fullRetrain); models are identical either way. Only
+	// the warm-start equivalence tests set it.
+	fullRetrain bool
 	// RetrainStallThreshold counts online retrains that hold up the answer
 	// path for at least this long as "retrain_stalls_total" (0 disables).
 	// A serving deployment watches this counter to decide when retraining
@@ -165,14 +151,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	// The deprecated per-dimension worker fields feed the consolidated
-	// Parallelism struct, which explicit Parallel fields override.
-	if c.Parallel.Forest == 0 {
-		c.Parallel.Forest = c.ForestWorkers
-	}
-	if c.Parallel.Rescore == 0 {
-		c.Parallel.Rescore = c.RescoreWorkers
-	}
 	if c.SplitMaxTerms <= 0 {
 		c.SplitMaxTerms = 8
 	}
@@ -412,7 +390,7 @@ func NewSession(db *uncertain.DB, result *engine.Result, orc Oracle, repo *Repos
 		Trees:          cfg.Trees,
 		MinTrain:       cfg.MinTrain,
 		ForestWorkers:  cfg.Parallel.Forest,
-		FullRetrain:    cfg.FullRetrain,
+		fullRetrain:    cfg.fullRetrain,
 		LAL:            cfg.LAL,
 		Seed:           cfg.Seed,
 		KnownProbs:     cfg.KnownProbs,

@@ -27,23 +27,6 @@ import (
 	"qres/internal/uncertain"
 )
 
-// ProbeStore is the durability contract the service needs from a storage
-// engine: the answer path pairs each repository add with a WAL append
-// inside one Update, graceful shutdown snapshots and closes. Both the flat
-// resolve.Store and the segmented store.Store satisfy it.
-type ProbeStore interface {
-	// Update runs fn with an append function; the appended records are
-	// durable when Update returns.
-	Update(fn func(append func(...resolve.ProbeRecord) error) error) error
-	// Snapshot persists the repository so recovery no longer needs the
-	// records the WAL held at the time of the call.
-	Snapshot(repo *resolve.Repository) error
-	// WALRecords reports the records a restart right now would replay.
-	WALRecords() int
-	// Close releases the store without snapshotting.
-	Close() error
-}
-
 // Config assembles a resolution service.
 type Config struct {
 	// DB is the loaded uncertain database every session queries. Required.
@@ -52,9 +35,9 @@ type Config struct {
 	// one (or, when Store is set, the store's recovered repository is
 	// used instead).
 	Repo *resolve.Repository
-	// Store persists the shared repository (WAL + snapshot). Nil disables
-	// persistence.
-	Store ProbeStore
+	// Store persists the shared repository (segmented WAL + snapshot).
+	// Nil disables persistence.
+	Store *store.Store
 	// MaxSessions caps concurrently live sessions; creation beyond the
 	// cap returns 429 (default 64).
 	MaxSessions int
@@ -89,7 +72,7 @@ type Config struct {
 type Server struct {
 	udb   *uncertain.DB
 	repo  *resolve.Repository
-	store ProbeStore
+	store *store.Store
 	reg   *obs.Registry
 	mgr   *manager
 	mux   *http.ServeMux
@@ -285,7 +268,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		name:     cfg.Name(),
 		scope:    scope,
 		group:    inner.ComponentSignature(),
-		par:      effectiveParallelism(cfg),
+		par:      ParallelismJSON(cfg.Parallel),
 		done:     inner.Done(),
 	}
 	if err := s.mgr.add(sess); err != nil {
@@ -401,22 +384,18 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStoreStatus reports the persistence engine behind the shared
-// repository. The segmented engine additionally exposes its full stats
-// (segments, group-commit counters, compactions); the flat engine reports
-// just its WAL backlog.
+// repository with its full stats (segments, group-commit counters,
+// compactions).
 func (s *Server) handleStoreStatus(w http.ResponseWriter, r *http.Request) {
 	resp := StoreStatusResponse{
 		Persistent:        s.store != nil,
 		RepositoryRecords: s.repo.Len(),
 	}
 	if s.store != nil {
-		resp.Engine = "flat"
-		resp.WALRecords = s.store.WALRecords()
-		if st, ok := s.store.(interface{ Stats() store.Stats }); ok {
-			stats := st.Stats()
-			resp.Engine = stats.Engine
-			resp.Stats = &stats
-		}
+		stats := s.store.Stats()
+		resp.Engine = stats.Engine
+		resp.WALRecords = stats.TailRecords
+		resp.Stats = &stats
 	}
 	writeJSON(w, resp)
 }
@@ -490,25 +469,6 @@ func (s *Server) infoLocked(sess *session) SessionInfo {
 	}
 }
 
-// effectiveParallelism renders the worker bounds a config resolves to on
-// the wire — the deprecated forest_workers field folds into the new shape,
-// so responses always emit the current contract.
-func effectiveParallelism(cfg resolve.Config) ParallelismJSON {
-	p := ParallelismJSON{
-		Forest:  cfg.Parallel.Forest,
-		Rescore: cfg.Parallel.Rescore,
-		Shards:  cfg.Parallel.Shards,
-		Engine:  cfg.Parallel.Engine,
-	}
-	if p.Forest == 0 {
-		p.Forest = cfg.ForestWorkers
-	}
-	if p.Rescore == 0 {
-		p.Rescore = cfg.RescoreWorkers
-	}
-	return p
-}
-
 // tupleValues renders the referenced tuple's column values.
 func (s *Server) tupleValues(ref uncertain.TupleRef) []string {
 	rel, ok := s.udb.Data().Relation(ref.Relation)
@@ -528,12 +488,12 @@ func (s *Server) tupleValues(ref uncertain.TupleRef) []string {
 // for requests without a parallelism object; the deprecated forest_workers
 // field is still honored when that object leaves the dimension unset.
 func sessionConfig(req CreateSessionRequest, def resolve.Parallelism) (resolve.Config, error) {
-	cfg := resolve.Config{Seed: req.Seed, Trees: req.Trees,
-		ForestWorkers: req.ForestWorkers, Parallel: def}
+	cfg := resolve.Config{Seed: req.Seed, Trees: req.Trees, Parallel: def}
 	if p := req.Parallelism; p != nil {
-		cfg.Parallel = resolve.Parallelism{
-			Forest: p.Forest, Rescore: p.Rescore, Shards: p.Shards, Engine: p.Engine,
-		}
+		cfg.Parallel = resolve.Parallelism(*p)
+	}
+	if cfg.Parallel.Forest == 0 {
+		cfg.Parallel.Forest = req.ForestWorkers
 	}
 	if req.Incremental != nil && !*req.Incremental {
 		cfg.DisableIncremental = true

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"qres/internal/engine"
-	"qres/internal/resolve"
 	"qres/internal/sqlparse"
 	"qres/internal/store"
 	"qres/internal/testdb"
@@ -48,6 +47,9 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	}
 	go s.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Shutdown
 	t.Cleanup(func() {
+		// doJSON's client may hold a dialed connection that never carried
+		// a request; Shutdown would wait 5s before treating it as idle.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
@@ -376,34 +378,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestCrashRestartRecovery kills the service mid-session (WAL closed, no
-// snapshot) and checks the repository is restored from snapshot+WAL with no
-// acknowledged answer lost; a fresh session then reuses the recovered
-// answers and still converges to the ground truth.
-func TestCrashRestartRecovery(t *testing.T) {
-	dir := t.TempDir()
-	udb := testdb.PaperUncertainDB()
-	gt := uncertain.GenerateFixed(udb, 0.5, 11)
-
-	store, repo, err := resolve.OpenStore(dir, udb.Registry().Name, udb.Registry().Lookup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{DB: udb, Repo: repo, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hts := httptest.NewServer(srv)
-
-	create := CreateSessionRequest{Query: paperSQL, Strategy: "general", Learning: "online", Seed: 21}
-	var info SessionInfo
-	mustJSON(t, "POST", hts.URL+"/v1/sessions", create, &info, http.StatusCreated)
-
-	// Answer a few probes, then crash before the session completes.
-	const partial = 3
-	for i := 0; i < partial; i++ {
+// answerProbes answers n probes of session id from the ground truth; the
+// session must not finish before then.
+func answerProbes(t *testing.T, base, id string, udb *uncertain.DB, gt *uncertain.GroundTruth, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
 		var pr ProbeResponse
-		mustJSON(t, "GET", hts.URL+"/v1/sessions/"+info.ID+"/probe", nil, &pr, http.StatusOK)
+		mustJSON(t, "GET", base+"/v1/sessions/"+id+"/probe", nil, &pr, http.StatusOK)
 		if pr.Done {
 			t.Fatalf("session done after only %d answers", i)
 		}
@@ -411,46 +392,79 @@ func TestCrashRestartRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustJSON(t, "POST", hts.URL+"/v1/sessions/"+info.ID+"/answer",
+		mustJSON(t, "POST", base+"/v1/sessions/"+id+"/answer",
 			AnswerRequest{Table: pr.Probe.Table, Index: pr.Probe.Index, Answer: ans}, nil, http.StatusOK)
 	}
+}
+
+// crash stops a service served with httptest the way a crash leaves its
+// store: the janitor is halted and the store closed without a snapshot.
+func crash(t *testing.T, srv *Server, hts *httptest.Server, st *store.Store) {
+	t.Helper()
 	hts.Close()
-	close(srv.sweepStop) // stop the janitor without snapshotting
+	close(srv.sweepStop)
 	<-srv.sweepDone
-	if err := store.Close(); err != nil { // crash-equivalent: WAL left as is
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestCrashRestartRecovery kills the service mid-session (store closed, no
+// snapshot) and checks that every acknowledged answer comes back from the
+// WAL, that a fresh session reuses the recovered answers and still
+// converges to the ground truth, and that a graceful shutdown leaves
+// nothing to replay.
+func TestCrashRestartRecovery(t *testing.T) {
+	dir := t.TempDir()
+	udb := testdb.PaperUncertainDB()
+	gt := uncertain.GenerateFixed(udb, 0.5, 11)
+	opts := store.Options{NameFn: udb.Registry().Name, ResolveFn: udb.Registry().Lookup}
+
+	st, repo, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{DB: udb, Repo: repo, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hts := httptest.NewServer(srv)
+	create := CreateSessionRequest{Query: paperSQL, Strategy: "general", Learning: "online", Seed: 21}
+	var info SessionInfo
+	mustJSON(t, "POST", hts.URL+"/v1/sessions", create, &info, http.StatusCreated)
+	const partial = 3
+	answerProbes(t, hts.URL, info.ID, udb, gt, partial)
+	crash(t, srv, hts, st)
 
 	// Restart: every acknowledged answer must come back from the WAL.
-	store2, repo2, err := resolve.OpenStore(dir, udb.Registry().Name, udb.Registry().Lookup)
+	st2, repo2, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if repo2.Len() != partial {
 		t.Fatalf("recovered %d records, want %d", repo2.Len(), partial)
 	}
-	if store2.WALRecords() != partial {
-		t.Fatalf("recovered WAL holds %d records, want %d", store2.WALRecords(), partial)
+	if st2.WALRecords() != partial {
+		t.Fatalf("recovered WAL holds %d records, want %d", st2.WALRecords(), partial)
 	}
-	srv2, err := New(Config{DB: udb, Repo: repo2, Store: store2})
+	srv2, err := New(Config{DB: udb, Repo: repo2, Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hts2 := httptest.NewServer(srv2)
-
 	var info2 SessionInfo
 	mustJSON(t, "POST", hts2.URL+"/v1/sessions", create, &info2, http.StatusCreated)
 	answers, err := driveSession(hts2.URL, info2.ID, udb, gt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st StatusResponse
-	mustJSON(t, "GET", hts2.URL+"/v1/sessions/"+info2.ID+"/status", nil, &st, http.StatusOK)
-	if st.KnownReused < partial {
-		t.Errorf("restarted session reused %d recovered answers, want >= %d", st.KnownReused, partial)
+	var sess StatusResponse
+	mustJSON(t, "GET", hts2.URL+"/v1/sessions/"+info2.ID+"/status", nil, &sess, http.StatusOK)
+	if sess.KnownReused < partial {
+		t.Errorf("restarted session reused %d recovered answers, want >= %d", sess.KnownReused, partial)
 	}
 	want := wantStatuses(t, udb, gt)
-	for i, rs := range st.RowStatus {
+	for i, rs := range sess.RowStatus {
 		if rs.Status != want[i] {
 			t.Errorf("row %d after restart: status %q, ground truth %q", i, rs.Status, want[i])
 		}
@@ -459,30 +473,30 @@ func TestCrashRestartRecovery(t *testing.T) {
 		t.Errorf("repository has %d records, want %d", repo2.Len(), partial+answers)
 	}
 
-	// Graceful shutdown snapshots; a third open needs no WAL replay.
+	// Graceful shutdown snapshots; the third open has no tail to replay.
 	hts2.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	store3, repo3, err := resolve.OpenStore(dir, udb.Registry().Name, udb.Registry().Lookup)
+	st3, repo3, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store3.Close()
-	if store3.WALRecords() != 0 {
-		t.Errorf("WAL holds %d records after snapshot, want 0", store3.WALRecords())
+	defer st3.Close()
+	if st3.WALRecords() != 0 {
+		t.Errorf("WAL holds %d records after snapshot, want 0", st3.WALRecords())
 	}
 	if repo3.Len() != repo2.Len() {
 		t.Errorf("snapshot lost records: %d vs %d", repo3.Len(), repo2.Len())
 	}
 }
 
-// TestSegmentedStoreCrashRestart runs the crash-restart scenario on the
-// segmented storage engine: acknowledged answers survive a crash-
-// equivalent close, the restarted session reuses them, and the /v1/store
-// endpoint reports the engine's state along the way.
+// TestSegmentedStoreCrashRestart checks what the /v1/store endpoint reports
+// across a crash and restart of the segmented storage engine: persistence
+// and segments before any answer, the logged and fsynced answers before the
+// crash, and the recovered replay backlog after the restart.
 func TestSegmentedStoreCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	udb := testdb.PaperUncertainDB()
@@ -508,24 +522,15 @@ func TestSegmentedStoreCrashRestart(t *testing.T) {
 	if status.Stats == nil || status.Stats.Segments == 0 {
 		t.Fatalf("store status missing segmented stats: %+v", status)
 	}
+	if status.WALRecords != 0 {
+		t.Errorf("store status WALRecords = %d before any answer, want 0", status.WALRecords)
+	}
 
 	create := CreateSessionRequest{Query: paperSQL, Strategy: "general", Learning: "online", Seed: 21}
 	var info SessionInfo
 	mustJSON(t, "POST", hts.URL+"/v1/sessions", create, &info, http.StatusCreated)
 	const partial = 3
-	for i := 0; i < partial; i++ {
-		var pr ProbeResponse
-		mustJSON(t, "GET", hts.URL+"/v1/sessions/"+info.ID+"/probe", nil, &pr, http.StatusOK)
-		if pr.Done {
-			t.Fatalf("session done after only %d answers", i)
-		}
-		ans, err := gtAnswer(udb, gt, pr.Probe.Table, pr.Probe.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustJSON(t, "POST", hts.URL+"/v1/sessions/"+info.ID+"/answer",
-			AnswerRequest{Table: pr.Probe.Table, Index: pr.Probe.Index, Answer: ans}, nil, http.StatusOK)
-	}
+	answerProbes(t, hts.URL, info.ID, udb, gt, partial)
 	mustJSON(t, "GET", hts.URL+"/v1/store", nil, &status, http.StatusOK)
 	if status.WALRecords != partial {
 		t.Errorf("store status WALRecords = %d, want %d", status.WALRecords, partial)
@@ -533,53 +538,21 @@ func TestSegmentedStoreCrashRestart(t *testing.T) {
 	if status.Stats.Fsyncs == 0 {
 		t.Errorf("store status reports no fsyncs after %d answers", partial)
 	}
-	hts.Close()
-	close(srv.sweepStop) // stop the janitor without snapshotting
-	<-srv.sweepDone
-	if err := st.Close(); err != nil { // crash-equivalent: no snapshot
-		t.Fatal(err)
-	}
+	crash(t, srv, hts, st)
 
+	// After the restart the endpoint reports the recovered backlog.
 	st2, repo2, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repo2.Len() != partial {
-		t.Fatalf("recovered %d records, want %d", repo2.Len(), partial)
+	_, base2 := startServer(t, Config{DB: udb, Repo: repo2, Store: st2})
+	mustJSON(t, "GET", base2+"/v1/store", nil, &status, http.StatusOK)
+	if !status.Persistent || status.Engine != "segmented" || status.Stats == nil {
+		t.Fatalf("store status after restart = %+v, want persistent segmented", status)
 	}
-	srv2, err := New(Config{DB: udb, Repo: repo2, Store: st2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hts2 := httptest.NewServer(srv2)
-	var info2 SessionInfo
-	mustJSON(t, "POST", hts2.URL+"/v1/sessions", create, &info2, http.StatusCreated)
-	if _, err := driveSession(hts2.URL, info2.ID, udb, gt); err != nil {
-		t.Fatal(err)
-	}
-	var sess StatusResponse
-	mustJSON(t, "GET", hts2.URL+"/v1/sessions/"+info2.ID+"/status", nil, &sess, http.StatusOK)
-	if sess.KnownReused < partial {
-		t.Errorf("restarted session reused %d recovered answers, want >= %d", sess.KnownReused, partial)
-	}
-
-	// Graceful shutdown snapshots; the third open has no tail to replay.
-	hts2.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv2.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st3, repo3, err := store.Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	if st3.WALRecords() != 0 {
-		t.Errorf("WAL holds %d records after snapshot, want 0", st3.WALRecords())
-	}
-	if repo3.Len() != repo2.Len() {
-		t.Errorf("snapshot lost records: %d vs %d", repo3.Len(), repo2.Len())
+	if status.WALRecords != partial || status.RepositoryRecords != partial {
+		t.Errorf("store status after restart: WALRecords %d, RepositoryRecords %d, want %d each",
+			status.WALRecords, status.RepositoryRecords, partial)
 	}
 }
 

@@ -16,15 +16,29 @@ import (
 // Benchmarks behind results/BENCH_store.json: restart time after a crash
 // at 10k/100k (and, with QRES_BENCH_BIG=1, 1M) total probes, and the
 // durable answer path's latency distribution under concurrent writers —
-// flat (per-append fsync, JSONL) against segmented (group commit, binary
-// frames, compacted snapshot). Reproduce with the EXPERIMENTS.md "Storage
-// engine" recipe.
+// the pinned flat control (flat_test.go: per-append fsync, JSONL) against
+// the segmented engine (group commit, binary frames, compacted snapshot).
+// Reproduce with the EXPERIMENTS.md "Storage engine" recipe.
 
-// benchRecord builds the i-th synthetic probe record. Variables are
-// pre-interned so both engines resolve every name on recovery.
+// benchVars is how many distinct variables the synthetic records cycle
+// through.
+const benchVars = 4096
+
+// newBenchRegistry returns a registry with every bench variable already
+// interned: both engines resolve every name on recovery, and benchRecord
+// only reads the registry, so concurrent writers may call it.
+func newBenchRegistry() *boolexpr.Registry {
+	reg := boolexpr.NewRegistry()
+	for i := 0; i < benchVars; i++ {
+		benchRecord(reg, i)
+	}
+	return reg
+}
+
+// benchRecord builds the i-th synthetic probe record.
 func benchRecord(reg *boolexpr.Registry, i int) resolve.ProbeRecord {
 	return resolve.ProbeRecord{
-		Var:    reg.Intern("facts[" + strconv.Itoa(i%4096) + "]"),
+		Var:    reg.Intern("facts[" + strconv.Itoa(i%benchVars) + "]"),
 		HasVar: true,
 		Meta:   map[string]string{"i": strconv.Itoa(i), "source": "bench"},
 		Answer: i%3 != 0,
@@ -37,7 +51,7 @@ func benchRecord(reg *boolexpr.Registry, i int) resolve.ProbeRecord {
 // graceful shutdown.
 func buildFlatCrashState(b *testing.B, dir string, reg *boolexpr.Registry, n int) {
 	b.Helper()
-	st, _, err := resolve.OpenStore(dir, reg.Name, func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) })
+	st, _, err := openFlatStore(dir, reg.Name, func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +60,7 @@ func buildFlatCrashState(b *testing.B, dir string, reg *boolexpr.Registry, n int
 	for i := 0; i < n; i++ {
 		recs = append(recs, benchRecord(reg, i))
 		if len(recs) == batch || i == n-1 {
-			if err := st.Append(recs...); err != nil {
+			if err := st.Update(func(ap func(...resolve.ProbeRecord) error) error { return ap(recs...) }); err != nil {
 				b.Fatal(err)
 			}
 			recs = recs[:0]
@@ -120,13 +134,13 @@ func benchSizes() []int {
 func BenchmarkStoreRecovery(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("engine=flat/probes=%d", n), func(b *testing.B) {
-			reg := boolexpr.NewRegistry()
+			reg := newBenchRegistry()
 			dir := b.TempDir()
 			buildFlatCrashState(b, dir, reg, n)
 			resolveFn := func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st, repo, err := resolve.OpenStore(dir, reg.Name, resolveFn)
+				st, repo, err := openFlatStore(dir, reg.Name, resolveFn)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -140,7 +154,7 @@ func BenchmarkStoreRecovery(b *testing.B) {
 			b.ReportMetric(float64(n), "tail_records")
 		})
 		b.Run(fmt.Sprintf("engine=segmented/probes=%d", n), func(b *testing.B) {
-			reg := boolexpr.NewRegistry()
+			reg := newBenchRegistry()
 			dir := b.TempDir()
 			buildSegmentedCrashState(b, dir, reg, n)
 			opts := Options{
@@ -212,8 +226,8 @@ func BenchmarkStoreAppend(b *testing.B) {
 	}
 
 	b.Run("engine=flat", func(b *testing.B) {
-		reg := boolexpr.NewRegistry()
-		st, repo, err := resolve.OpenStore(b.TempDir(), reg.Name,
+		reg := newBenchRegistry()
+		st, repo, err := openFlatStore(b.TempDir(), reg.Name,
 			func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) })
 		if err != nil {
 			b.Fatal(err)
@@ -228,7 +242,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 		})
 	})
 	b.Run("engine=segmented", func(b *testing.B) {
-		reg := boolexpr.NewRegistry()
+		reg := newBenchRegistry()
 		st, repo, err := Open(b.TempDir(), Options{
 			NameFn:    reg.Name,
 			ResolveFn: func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) },

@@ -12,8 +12,9 @@ import (
 	"qres/internal/resolve"
 )
 
-// Legacy flat-store files (resolve.Store). A store directory holding these
-// and no manifest is migrated in place on first open.
+// Legacy flat-store files: a JSONL snapshot (resolve.SaveJSON format) plus
+// a JSONL write-ahead log. A store directory holding these and no manifest
+// is migrated in place on first open.
 const (
 	legacySnapshotFile = "probes.snapshot.jsonl"
 	legacyWALFile      = "probes.wal.jsonl"
@@ -53,9 +54,9 @@ const defaultSegmentBytes = 4 << 20
 // is truncated away; any other damage fails Open with a CorruptionError
 // locating the damaged file, byte offset, and record index.
 //
-// Directories written by the flat resolve.Store are migrated in place: the
-// legacy JSONL snapshot and WAL are recovered once through the old code
-// path, folded into a new-format snapshot, and removed.
+// Directories written by the retired flat JSONL store are migrated in
+// place: the legacy snapshot and WAL are read once, folded into a
+// new-format snapshot, and removed.
 func Open(dir string, opts Options) (*Store, *resolve.Repository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -278,49 +279,61 @@ func truncateSegment(path string, size int64) error {
 	return f.Sync()
 }
 
-// migrateLegacy converts a flat resolve.Store directory in place: recover
-// through the old code path, write the state as a new-format snapshot +
-// manifest, and delete the legacy files. A directory already holding a
-// manifest only gets leftover legacy files removed (a crash mid-migration
-// re-runs harmlessly: the legacy files are deleted only after the manifest
-// is durable).
+// migrateLegacy converts a legacy flat-store directory in place: read the
+// JSONL snapshot, then the JSONL WAL, write their records as a new-format
+// snapshot + manifest, and delete the legacy files. The legacy files are
+// only read, so a failed migration leaves them byte-identical: a torn
+// trailing WAL line (a crash mid-append) is skipped, and any other damage
+// fails with the file and line. A directory already holding a manifest
+// only gets leftover legacy files removed (a crash mid-migration re-runs
+// harmlessly: the legacy files are deleted only after the manifest is
+// durable).
 func migrateLegacy(dir string, opts Options) error {
 	_, haveMan, err := readManifest(dir)
 	if err != nil {
 		return err
 	}
-	legacySnap := filepath.Join(dir, legacySnapshotFile)
-	legacyWAL := filepath.Join(dir, legacyWALFile)
+	legacy := []string{
+		filepath.Join(dir, legacySnapshotFile),
+		filepath.Join(dir, legacyWALFile),
+	}
 	if haveMan {
-		os.Remove(legacySnap)
-		os.Remove(legacyWAL)
+		for _, path := range legacy {
+			os.Remove(path)
+		}
 		return nil
 	}
-	if !fileExists(legacySnap) && !fileExists(legacyWAL) {
+	var recs []resolve.ProbeRecord
+	found := false
+	for _, path := range legacy {
+		f, err := os.Open(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		repo, err := resolve.LoadJSON(f, opts.ResolveFn)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("store: migrating legacy store: %s: %w", path, err)
+		}
+		recs = append(recs, repo.Records()...)
+		found = true
+	}
+	if !found {
 		return nil
-	}
-	old, repo, err := resolve.OpenStore(dir, opts.NameFn, opts.ResolveFn)
-	if err != nil {
-		return fmt.Errorf("store: migrating legacy store: %w", err)
-	}
-	if err := old.Close(); err != nil {
-		return err
 	}
 	tmp := &Store{dir: dir, nameFn: opts.NameFn}
-	if err := tmp.writeSnapshotFile(repo.Records()); err != nil {
+	if err := tmp.writeSnapshotFile(recs); err != nil {
 		return err
 	}
-	n := uint64(repo.Len())
+	n := uint64(len(recs))
 	if err := writeManifest(dir, manifest{SnapshotRecords: n, WALWatermark: n}); err != nil {
 		return err
 	}
-	os.Remove(legacySnap)
-	os.Remove(legacyWAL)
+	for _, path := range legacy {
+		os.Remove(path)
+	}
 	return nil
-}
-
-// fileExists reports whether path exists.
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,9 +33,15 @@ func newTestEnv() *testEnv {
 	}
 }
 
+// updater is what the segmented Store and the flat control share: an
+// Update that pairs repository adds with durable appends.
+type updater interface {
+	Update(fn func(append func(...resolve.ProbeRecord) error) error) error
+}
+
 // addOne pairs one repository add with one WAL append inside a single
 // Update, as the server's answer path does.
-func addOne(t *testing.T, st *Store, repo *resolve.Repository, rec resolve.ProbeRecord) {
+func addOne(t *testing.T, st updater, repo *resolve.Repository, rec resolve.ProbeRecord) {
 	t.Helper()
 	err := st.Update(func(ap func(...resolve.ProbeRecord) error) error {
 		if rec.HasVar {
@@ -77,6 +84,12 @@ func saveBytes(t *testing.T, repo *resolve.Repository, name func(boolexpr.Var) s
 	return buf.Bytes()
 }
 
+// fileExists reports whether path exists.
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	env := newTestEnv()
 	dir := t.TempDir()
@@ -108,7 +121,7 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 func TestRecoveryEquivalenceWithFlatStore(t *testing.T) {
-	// The same probe stream driven through the flat resolve.Store and the
+	// The same probe stream driven through the flat control store and the
 	// segmented store — including a mid-stream snapshot and a
 	// crash-equivalent close — must recover to byte-identical
 	// repositories.
@@ -116,7 +129,7 @@ func TestRecoveryEquivalenceWithFlatStore(t *testing.T) {
 	recs := env.probeSeq(60)
 
 	flatDir, segDir := t.TempDir(), t.TempDir()
-	flat, flatRepo, err := resolve.OpenStore(flatDir, env.opts.NameFn, env.opts.ResolveFn)
+	flat, flatRepo, err := openFlatStore(flatDir, env.opts.NameFn, env.opts.ResolveFn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,17 +142,7 @@ func TestRecoveryEquivalenceWithFlatStore(t *testing.T) {
 	}
 
 	for i, rec := range recs {
-		rec := rec
-		if err := flat.Update(func(ap func(...resolve.ProbeRecord) error) error {
-			if rec.HasVar {
-				flatRepo.AddVar(rec.Var, rec.Meta, rec.Answer)
-			} else {
-				flatRepo.Add(rec.Meta, rec.Answer)
-			}
-			return ap(rec)
-		}); err != nil {
-			t.Fatal(err)
-		}
+		addOne(t, flat, flatRepo, rec)
 		addOne(t, seg, segRepo, rec)
 		if i == 40 { // snapshot mid-stream in both engines
 			if err := flat.Snapshot(flatRepo); err != nil {
@@ -157,10 +160,11 @@ func TestRecoveryEquivalenceWithFlatStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, flatBack, err := resolve.OpenStore(flatDir, env.opts.NameFn, env.opts.ResolveFn)
+	flat2, flatBack, err := openFlatStore(flatDir, env.opts.NameFn, env.opts.ResolveFn)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer flat2.Close()
 	seg2, segBack, err := Open(segDir, env.opts)
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +253,9 @@ func TestSnapshotCompactsSealedSegments(t *testing.T) {
 	}
 	if err := st.Snapshot(repo); err != nil {
 		t.Fatal(err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(tmps) != 0 {
+		t.Errorf("snapshot left temp files: %v", tmps)
 	}
 	after := st.Stats()
 	if after.SealedSegments != 0 {
@@ -415,39 +422,46 @@ func TestMidSegmentCorruptionIsLocated(t *testing.T) {
 	}
 }
 
-func TestLegacyFlatStoreMigration(t *testing.T) {
-	// A directory written by the flat resolve.Store — snapshot plus WAL
-	// tail — is migrated in place on first open and never consulted
-	// again.
-	env := newTestEnv()
-	dir := t.TempDir()
-	flat, flatRepo, err := resolve.OpenStore(dir, env.opts.NameFn, env.opts.ResolveFn)
+// writeLegacyStore drives recs through the flat control into dir,
+// snapshotting after record snapAt, then crash-closes it: the legacy
+// snapshot-plus-WAL layout that Open migrates. It returns the canonical
+// bytes of the repository the directory holds.
+func writeLegacyStore(t *testing.T, env *testEnv, dir string, recs []resolve.ProbeRecord, snapAt int) []byte {
+	t.Helper()
+	flat, repo, err := openFlatStore(dir, env.opts.NameFn, env.opts.ResolveFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := env.probeSeq(30)
 	for i, rec := range recs {
-		rec := rec
-		if err := flat.Update(func(ap func(...resolve.ProbeRecord) error) error {
-			if rec.HasVar {
-				flatRepo.AddVar(rec.Var, rec.Meta, rec.Answer)
-			} else {
-				flatRepo.Add(rec.Meta, rec.Answer)
-			}
-			return ap(rec)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if i == 20 {
-			if err := flat.Snapshot(flatRepo); err != nil {
+		addOne(t, flat, repo, rec)
+		if i == snapAt {
+			if err := flat.Snapshot(repo); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	want := saveBytes(t, flatRepo, env.reg.Name)
 	if err := flat.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return saveBytes(t, repo, env.reg.Name)
+}
+
+// assertLegacyGone fails when a legacy file is still in dir.
+func assertLegacyGone(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range []string{legacySnapshotFile, legacyWALFile} {
+		if fileExists(filepath.Join(dir, name)) {
+			t.Errorf("legacy file %s survived migration", name)
+		}
+	}
+}
+
+func TestLegacyFlatStoreMigration(t *testing.T) {
+	// A directory written by the flat store — snapshot plus WAL tail — is
+	// migrated in place on first open and never consulted again.
+	env := newTestEnv()
+	dir := t.TempDir()
+	want := writeLegacyStore(t, env, dir, env.probeSeq(30), 20)
 
 	st, repo, err := Open(dir, env.opts)
 	if err != nil {
@@ -456,11 +470,7 @@ func TestLegacyFlatStoreMigration(t *testing.T) {
 	if got := saveBytes(t, repo, env.reg.Name); !bytes.Equal(got, want) {
 		t.Errorf("migrated repository differs:\ngot  %s\nwant %s", got, want)
 	}
-	for _, name := range []string{legacySnapshotFile, legacyWALFile} {
-		if fileExists(filepath.Join(dir, name)) {
-			t.Errorf("legacy file %s survived migration", name)
-		}
-	}
+	assertLegacyGone(t, dir)
 	// Keep using the migrated store, then recover once more.
 	addOne(t, st, repo, resolve.ProbeRecord{Meta: map[string]string{"i": "post"}, Answer: false})
 	want = saveBytes(t, repo, env.reg.Name)
@@ -475,6 +485,115 @@ func TestLegacyFlatStoreMigration(t *testing.T) {
 	if got := saveBytes(t, repo2, env.reg.Name); !bytes.Equal(got, want) {
 		t.Errorf("post-migration recovery differs:\ngot  %s\nwant %s", got, want)
 	}
+}
+
+func TestLegacyMigrationSkipsTornWALLine(t *testing.T) {
+	// A crash mid-append leaves the legacy WAL ending in a torn line:
+	// migration keeps every complete record and drops the fragment.
+	env := newTestEnv()
+	dir := t.TempDir()
+	recs := env.probeSeq(12)
+	want := writeLegacyStore(t, env, dir, recs, 5)
+	f, err := os.OpenFile(filepath.Join(dir, legacyWALFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"var":"facts[99]","meta":{"sou`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, repo, err := Open(dir, env.opts)
+	if err != nil {
+		t.Fatalf("migration: %v", err)
+	}
+	defer st.Close()
+	if got := saveBytes(t, repo, env.reg.Name); !bytes.Equal(got, want) {
+		t.Errorf("migrated repository differs:\ngot  %s\nwant %s", got, want)
+	}
+	if man, _, err := readManifest(dir); err != nil || man.SnapshotRecords != uint64(len(recs)) {
+		t.Errorf("manifest = %+v (err %v), want %d snapshot records", man, err, len(recs))
+	}
+	assertLegacyGone(t, dir)
+}
+
+func TestLegacyMigrationRejectsMidFileDamage(t *testing.T) {
+	// A bad line with good lines after it is damage, not a torn append:
+	// Open fails naming the file and the line, leaves both legacy files
+	// byte-identical, and writes no manifest.
+	env := newTestEnv()
+	dir := t.TempDir()
+	writeLegacyStore(t, env, dir, env.probeSeq(12), 5)
+	snapPath := filepath.Join(dir, legacySnapshotFile)
+	walPath := filepath.Join(dir, legacyWALFile)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(wal, []byte("\n"))
+	lines[1] = []byte("}}corrupt{{\n")
+	if err := os.WriteFile(walPath, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, path := range []string{snapPath, walPath} {
+		if before[path], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, _, err = Open(dir, env.opts)
+	if err == nil {
+		t.Fatal("mid-file legacy WAL damage accepted")
+	}
+	for _, want := range []string{walPath, "line 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	for path, data := range before {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s modified by failed migration (err %v)", path, err)
+		}
+	}
+	if fileExists(filepath.Join(dir, manifestName)) {
+		t.Error("failed migration wrote a manifest")
+	}
+}
+
+func TestLegacyFilesBesideManifestAreRemovedUnread(t *testing.T) {
+	// A crash after migration's manifest landed, before the legacy files
+	// were deleted: the next open removes them without reading them (the
+	// damaged copies planted here would fail any read) and recovers from
+	// the manifest alone.
+	env := newTestEnv()
+	dir := t.TempDir()
+	want := writeLegacyStore(t, env, dir, env.probeSeq(12), 5)
+	st, _, err := Open(dir, env.opts)
+	if err != nil {
+		t.Fatalf("migration: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	damaged := []byte("not json\n" + `{"answer":true}` + "\n")
+	for _, name := range []string{legacySnapshotFile, legacyWALFile} {
+		if err := os.WriteFile(filepath.Join(dir, name), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st2, repo, err := Open(dir, env.opts)
+	if err != nil {
+		t.Fatalf("open beside leftover legacy files: %v", err)
+	}
+	defer st2.Close()
+	if got := saveBytes(t, repo, env.reg.Name); !bytes.Equal(got, want) {
+		t.Errorf("recovered repository differs:\ngot  %s\nwant %s", got, want)
+	}
+	assertLegacyGone(t, dir)
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {

@@ -151,7 +151,11 @@ func WithParallelism(p Parallelism) Option {
 // Deprecated: use WithParallelism(Parallelism{Forest: n}). This wrapper is
 // honored only while Parallelism's Forest dimension is unset.
 func WithForestWorkers(n int) Option {
-	return func(o *options) { o.cfg.ForestWorkers = n }
+	return func(o *options) {
+		if o.cfg.Parallel.Forest == 0 {
+			o.cfg.Parallel.Forest = n
+		}
+	}
 }
 
 // WithSeed fixes the random seed, making the probe sequence deterministic.
