@@ -246,6 +246,24 @@ func BenchmarkToCNF(b *testing.B) {
 	}
 }
 
+// BenchmarkToCNFAbort measures a trial conversion of an oversized
+// expression at the default clause bound (4096), as the split pass makes
+// before it splits: 16 terms, each of two private variables and one of
+// four shared ones, so rounds absorb clauses and the bound still trips.
+func BenchmarkToCNFAbort(b *testing.B) {
+	terms := make([]boolexpr.Term, 16)
+	for i := range terms {
+		terms[i] = boolexpr.NewTerm(boolexpr.Var(3*i), boolexpr.Var(3*i+1), boolexpr.Var(1000+i%4))
+	}
+	e := boolexpr.NewExpr(terms...)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := e.ToCNF(4096); ok {
+			b.Fatal("conversion fit the bound")
+		}
+	}
+}
+
 // forestFitDataset builds the forest-training benchmark input: 800 rows
 // over 8 categorical features of cardinality 12, roughly the encoded shape
 // of a seeded TPC-H repository.

@@ -219,3 +219,22 @@ func TestAblationParallelTiny(t *testing.T) {
 func resolveGeneralEP() resolve.Config {
 	return resolve.Config{Utility: resolve.General{}, Learning: resolve.LearnEP}
 }
+
+// BenchmarkNewSessionQValue measures session construction for NELL MS1
+// with Q-Value + EP over one 300-athlete knowledge base, the size of a
+// perfbench nell-qvalue session: reusing known answers, the split pass
+// with its trial CNF conversions, and the initial CNFs of every part.
+func BenchmarkNewSessionQValue(b *testing.B) {
+	w, err := LoadNELL("MS1", Scale{NELLAthletes: 300}, RDTGroundTruth(), 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := resolve.Config{Utility: resolve.QValue{}, Learning: resolve.LearnEP, Seed: 23}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := resolve.NewSession(w.DB, w.Result, w.Oracle(), resolve.NewRepository(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

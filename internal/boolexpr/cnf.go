@@ -1,5 +1,7 @@
 package boolexpr
 
+import "slices"
+
 // CNF is a monotone conjunctive normal form: a conjunction of disjunctive
 // clauses over positive variables. It is the dual representation the
 // Q-Value utility needs: nt counts DNF terms (ways to prove True) and nc
@@ -66,14 +68,20 @@ func (c CNF) HasUnitClause(v Var) bool {
 	return false
 }
 
-// ToCNF converts the monotone DNF e into an equivalent canonical CNF by
-// distribution with absorption. The number of clauses of a k-DNF with m
-// terms can reach k^m, so the conversion is bounded: if at any point more
-// than maxClauses clauses survive absorption, conversion aborts and ok is
-// false. The paper handles this case by splitting the expression into
-// smaller DNFs first (Section 7.1, pre-processing); see Split.
+// ToCNF converts the monotone DNF e into its canonical CNF: the unique
+// minimal clause set of e, sorted shortest first, then lexicographically.
+// It distributes e's terms one round at a time, keeping the invariant that
+// no kept clause contains another. In the round for term t a clause that
+// meets t is kept as it is, and every other clause c is replaced by
+// c ∪ {v} for each v in t. Such a c ∪ {v} can only be absorbed by a kept
+// clause that contains v, so only those are checked. After each round the
+// kept clauses are the minimal CNF of the terms seen so far.
 //
-// A maxClauses of 0 or below means "no bound".
+// The number of clauses of a k-DNF with m terms can reach k^m, so the
+// conversion is bounded: if more than maxClauses clauses are kept after
+// some round, conversion aborts and ok is false. The paper handles this
+// case by splitting the expression into smaller DNFs first (Section 7.1,
+// pre-processing); see Split. A maxClauses of 0 or below means "no bound".
 func (e Expr) ToCNF(maxClauses int) (cnf CNF, ok bool) {
 	if e.IsFalse() {
 		return CNF{clauses: []Term{{}}}, true
@@ -81,43 +89,164 @@ func (e Expr) ToCNF(maxClauses int) (cnf CNF, ok bool) {
 	if e.IsTrue() {
 		return CNF{}, true
 	}
-	// Distribute: CNF(T1 ∨ ... ∨ Tm) = ⋀ { {v1..vm} : vi ∈ Ti }, built
-	// term by term with absorption after each round to keep the
-	// intermediate clause set small.
-	clauses := []Term{{}}
+	clauses := []maskedTerm{{}}
+	var next, open []maskedTerm
+	var containing [][]maskedTerm // containing[j]: kept clauses that contain t[j]
 	for _, t := range e.terms {
-		next := make([]Term, 0, len(clauses)*len(t))
+		next, open = next[:0], open[:0]
+		containing = slices.Grow(containing[:0], len(t))[:len(t)]
 		for _, c := range clauses {
-			for _, v := range t {
-				if c.Contains(v) {
-					next = append(next, c)
-					continue
+			met := false
+			for j, v := range t {
+				if c.mask&varBit(v) != 0 && c.t.Contains(v) {
+					containing[j] = append(containing[j], c)
+					met = true
 				}
-				merged := make(Term, 0, len(c)+1)
-				merged = append(merged, c...)
-				merged = append(merged, v)
-				next = append(next, NewTerm(merged...))
+			}
+			if met {
+				next = append(next, c)
+			} else {
+				open = append(open, c)
 			}
 		}
-		clauses = absorb(next)
+		next = slices.Grow(next, len(open)*len(t))
+		for _, c := range open {
+			for j, v := range t {
+				m := c.mask | varBit(v)
+				if !absorbedWith(containing[j], c.t, m) {
+					next = append(next, maskedTerm{c.t.with(v), m})
+				}
+			}
+		}
+		for j := range containing {
+			containing[j] = containing[j][:0]
+		}
+		clauses, next = next, clauses
 		if maxClauses > 0 && len(clauses) > maxClauses {
 			return CNF{}, false
 		}
 	}
-	return CNF{clauses: clauses}, true
+	out := make([]Term, len(clauses))
+	for i, c := range clauses {
+		out[i] = c.t
+	}
+	slices.SortFunc(out, Term.compare)
+	return CNF{clauses: out}, true
 }
 
-// absorb sorts clauses shortest-first and removes duplicates and supersets
-// of kept clauses (X ∧ (X∨Y) = X in the clause lattice).
-func absorb(clauses []Term) []Term {
-	e := canonicalize(clauses)
-	if e.IsTrue() {
-		// canonicalize interprets the empty term as the DNF constant
-		// True; for clause sets an empty clause means the CNF constant
-		// False with a single empty clause — same representation.
-		return []Term{{}}
+// maskedTerm is a clause with a bit mask of its variables (bit v mod 64),
+// which rules out most subset tests without reading the clause.
+type maskedTerm struct {
+	t    Term
+	mask uint64
+}
+
+func varBit(v Var) uint64 { return 1 << (uint(v) % 64) }
+
+// mask returns the variable mask of t: a subset of u has no bit u lacks.
+func (t Term) mask() uint64 {
+	var m uint64
+	for _, v := range t {
+		m |= varBit(v)
 	}
-	return e.terms
+	return m
+}
+
+// absorbedWith reports whether one of kept, all of which contain v, is a
+// subset of c ∪ {v}, where v is not in c and m is the mask of c ∪ {v}.
+func absorbedWith(kept []maskedTerm, c Term, m uint64) bool {
+	for _, k := range kept {
+		if k.mask&^m != 0 || len(k.t) > len(c)+1 {
+			continue
+		}
+		// v is one variable of k missing from c; any other miss means k
+		// is no subset.
+		i, misses := 0, 0
+		for _, x := range k.t {
+			for i < len(c) && c[i] < x {
+				i++
+			}
+			if i < len(c) && c[i] == x {
+				i++
+			} else if misses++; misses > 1 {
+				break
+			}
+		}
+		if misses <= 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// with returns the canonical term t ∪ {v} for a v not in t.
+func (t Term) with(v Var) Term {
+	i, _ := slices.BinarySearch(t, v)
+	out := make(Term, len(t)+1)
+	copy(out, t[:i])
+	out[i] = v
+	copy(out[i+1:], t[i:])
+	return out
+}
+
+// Condition returns the CNF of the expression after v is set to val,
+// derived from c instead of converted afresh. c's clauses never contain
+// one another, and conditioning keeps that invariant: with v = true the
+// clauses that contain v are satisfied and dropped; with v = false v is
+// removed from its clauses, and every clause that a shortened clause is
+// now a subset of is dropped (a shortened clause itself can be a subset of
+// no other clause). The result is again the minimal CNF, which is unique,
+// so it equals ToCNF of the conditioned expression, clause for clause.
+// Removing clauses never adds any, so conditioning cannot exceed a bound
+// the input met. c is left unchanged.
+func (c CNF) Condition(v Var, val bool) CNF {
+	var kept, short []Term
+	var masks []uint64 // masks[i] is short[i].mask()
+	for _, cl := range c.clauses {
+		switch {
+		case !cl.Contains(v):
+			kept = append(kept, cl)
+		case val:
+		case len(cl) == 1:
+			return CNF{clauses: []Term{{}}}
+		default:
+			s := make(Term, 0, len(cl)-1)
+			for _, x := range cl {
+				if x != v {
+					s = append(s, x)
+				}
+			}
+			short, masks = append(short, s), append(masks, s.mask())
+		}
+	}
+	if len(short) == 0 {
+		return CNF{clauses: kept}
+	}
+	// Both lists are in canonical order (removing v from clauses that all
+	// contain it keeps their order), so one merge restores it.
+	out := make([]Term, 0, len(kept)+len(short))
+	i := 0
+	for _, k := range kept {
+		km, absorbed := k.mask(), false
+		for j, s := range short {
+			if len(s) >= len(k) {
+				break
+			}
+			if masks[j]&^km == 0 && s.SubsetOf(k) {
+				absorbed = true
+				break
+			}
+		}
+		if absorbed {
+			continue
+		}
+		for i < len(short) && short[i].compare(k) < 0 {
+			out = append(out, short[i])
+			i++
+		}
+		out = append(out, k)
+	}
+	return CNF{clauses: append(out, short[i:]...)}
 }
 
 // AssumeCounts reports the term and clause counts of e after hypothetically

@@ -24,11 +24,15 @@ func NewTerm(vars ...Var) Term {
 	return out
 }
 
-// Contains reports whether v occurs in t. Terms are sorted, so this is a
-// binary search.
+// Contains reports whether v occurs in t. Terms are sorted and short, so
+// a scan that stops at the first variable not below v is fastest.
 func (t Term) Contains(v Var) bool {
-	i := sort.Search(len(t), func(i int) bool { return t[i] >= v })
-	return i < len(t) && t[i] == v
+	for _, x := range t {
+		if x >= v {
+			return x == v
+		}
+	}
+	return false
 }
 
 // SubsetOf reports whether every variable of t occurs in u. Both terms must

@@ -8,7 +8,11 @@ import "qres/internal/boolexpr"
 // to Utility.Scores but cannot depend on its internals, keeping the type's
 // invariants owned by this package.
 func NewWorksetForBench(exprs []boolexpr.Expr, partOf []int, needCNF bool) (*workset, error) {
-	return newWorkset(exprs, partOf, needCNF, 4096)
+	_, _, cnfs, err := prepareExpressions(exprs, boolexpr.NewValuation(), false, false, needCNF, 0, 4096, nil)
+	if err != nil {
+		return nil, err
+	}
+	return newWorkset(exprs, partOf, cnfs), nil
 }
 
 // WorksetCandidates exposes the candidate-probe set for benchmarks.

@@ -95,14 +95,8 @@ func TestWorksetInvertedIndex(t *testing.T) {
 			for i := range partOf {
 				partOf[i] = i
 			}
-			w, err := newWorkset(tc.exprs, partOf, false, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := w.applyProbe(tc.probe, tc.answer)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := newWorkset(tc.exprs, partOf, nil)
+			d := w.applyProbe(tc.probe, tc.answer)
 			check := func(field string, got, want any) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s = %v, want %v", field, got, want)

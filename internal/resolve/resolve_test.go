@@ -228,11 +228,11 @@ func TestUtilityPaperExample52(t *testing.T) {
 
 	known := boolexpr.NewValuation()
 	known.Set(a0, true)
-	parts, partOf := prepareExpressions(res.Provenance(), known, false, false, false, 8, 0, nil)
-	w, err := newWorkset(parts, partOf, false, 0)
+	parts, partOf, _, err := prepareExpressions(res.Provenance(), known, false, false, false, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := newWorkset(parts, partOf, nil)
 	candidates := w.candidates()
 
 	// Formula (3) (General's even rounds): a1 maximal with utility 2.7.
@@ -288,10 +288,11 @@ func TestQValueDecidingProbeWins(t *testing.T) {
 		boolexpr.Lit(0),
 		boolexpr.NewExpr(boolexpr.NewTerm(1, 2), boolexpr.NewTerm(1, 3)),
 	}
-	w, err := newWorkset(exprs, []int{0, 1}, true, 0)
+	_, _, cnfs, err := prepareExpressions(exprs, boolexpr.NewValuation(), false, false, true, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := newWorkset(exprs, []int{0, 1}, cnfs)
 	prob := func(boolexpr.Var) float64 { return 0.5 }
 	scores := QValue{}.Scores(w, prob, w.candidates(), 0)
 	// x0: nt*nc = 1; both hypothetical products are 0 → score 1.
@@ -356,10 +357,7 @@ func TestWorksetLifecycle(t *testing.T) {
 		boolexpr.NewExpr(boolexpr.NewTerm(0, 1)),
 		boolexpr.NewExpr(boolexpr.NewTerm(1), boolexpr.NewTerm(2)),
 	}
-	w, err := newWorkset(exprs, []int{0, 1}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := newWorkset(exprs, []int{0, 1}, nil)
 	if w.done() {
 		t.Fatal("fresh workset must not be done")
 	}
@@ -368,10 +366,7 @@ func TestWorksetLifecycle(t *testing.T) {
 	}
 
 	// x1=True decides expression 1 (term {x1} satisfied) and shrinks 0.
-	delta, err := w.applyProbe(1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := w.applyProbe(1, true)
 	if len(delta.decided) != 1 || delta.decided[0] != 1 {
 		t.Fatalf("decided = %v, want [1]", delta.decided)
 	}
@@ -385,9 +380,7 @@ func TestWorksetLifecycle(t *testing.T) {
 	}
 
 	// x0=False decides expression 0.
-	if _, err := w.applyProbe(0, false); err != nil {
-		t.Fatal(err)
-	}
+	w.applyProbe(0, false)
 	if !w.done() {
 		t.Fatal("workset should be done")
 	}
@@ -403,19 +396,12 @@ func TestWorksetSplitAggregation(t *testing.T) {
 		boolexpr.NewExpr(boolexpr.NewTerm(0)),
 		boolexpr.NewExpr(boolexpr.NewTerm(1)),
 	}
-	w, err := newWorkset(parts, []int{0, 0}, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.applyProbe(0, false); err != nil {
-		t.Fatal(err)
-	}
+	w := newWorkset(parts, []int{0, 0}, nil)
+	w.applyProbe(0, false)
 	if st := w.rowStatus(1)[0]; st != rowUndecided {
 		t.Fatalf("one False part must leave the row undecided, got %v", st)
 	}
-	if _, err := w.applyProbe(1, true); err != nil {
-		t.Fatal(err)
-	}
+	w.applyProbe(1, true)
 	if st := w.rowStatus(1)[0]; st != rowTrue {
 		t.Fatalf("True part must make the row True, got %v", st)
 	}
@@ -431,18 +417,26 @@ func TestPrepareExpressionsSplitting(t *testing.T) {
 	big := boolexpr.NewExpr(terms...)
 	rng := rand.New(rand.NewSource(4))
 
-	parts, partOf := prepareExpressions([]boolexpr.Expr{big}, boolexpr.NewValuation(), true, false, true, 5, 100, rng)
+	parts, partOf, cnfs, err := prepareExpressions([]boolexpr.Expr{big}, boolexpr.NewValuation(), true, false, true, 5, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(parts) < 4 {
 		t.Fatalf("got %d parts, want >= 4 (20 terms / 5)", len(parts))
 	}
 	total := 0
-	for _, p := range parts {
+	for i, p := range parts {
 		total += p.NumTerms()
 		// With CNF required, every part must fit the clause bound (a
 		// 5-term part of 3-var terms has 3^5 = 243 clauses > 100, so
-		// parts are recursively halved).
-		if _, ok := p.ToCNF(100); !ok {
+		// parts are recursively halved), and the CNF handed over must be
+		// that part's.
+		cnf, ok := p.ToCNF(100)
+		if !ok {
 			t.Fatalf("part %v exceeds the CNF bound", p)
+		}
+		if !sameClauses(cnfs[i], cnf) {
+			t.Fatalf("part %d: handed-over CNF %v, want %v", i, cnfs[i].Clauses(), cnf.Clauses())
 		}
 	}
 	if total != 20 {
@@ -453,18 +447,17 @@ func TestPrepareExpressionsSplitting(t *testing.T) {
 			t.Fatal("all parts must map to row 0")
 		}
 	}
-	// Without splitting the workset construction must fail when CNF is
-	// needed.
-	if _, err := newWorkset([]boolexpr.Expr{big}, []int{0}, true, 100); err == nil {
+	// Without splitting the preparation must fail when CNF is needed.
+	if _, _, _, err := prepareExpressions([]boolexpr.Expr{big}, boolexpr.NewValuation(), false, false, true, 5, 100, rng); err == nil {
 		t.Fatal("expected CNF bound error")
 	}
 	// SplitAll splits by term count even when CNF is not needed.
-	partsAll, _ := prepareExpressions([]boolexpr.Expr{big}, boolexpr.NewValuation(), true, true, false, 5, 0, rng)
+	partsAll, _, _, _ := prepareExpressions([]boolexpr.Expr{big}, boolexpr.NewValuation(), true, true, false, 5, 0, rng)
 	if len(partsAll) != 4 {
 		t.Fatalf("SplitAll: got %d parts, want 4", len(partsAll))
 	}
 	// DisableSplitting keeps the expression whole.
-	whole, _ := prepareExpressions([]boolexpr.Expr{big}, boolexpr.NewValuation(), false, false, true, 5, 100, rng)
+	whole, _, _, _ := prepareExpressions([]boolexpr.Expr{big}, boolexpr.NewValuation(), false, false, false, 5, 100, rng)
 	if len(whole) != 1 {
 		t.Fatal("splitting disabled but expression was split")
 	}

@@ -439,16 +439,16 @@ func NewSession(db *uncertain.DB, result *engine.Result, orc Oracle, repo *Repos
 
 	splitStart := time.Now()
 	needCNF := s.strategy.NeedsCNF()
-	parts, partOf := prepareExpressions(
+	parts, partOf, cnfs, err := prepareExpressions(
 		exprs, known,
 		!cfg.DisableSplitting, cfg.SplitAll, needCNF,
 		cfg.SplitMaxTerms, cfg.CNFClauseBound,
 		s.rng,
 	)
-	work, err := newWorkset(parts, partOf, needCNF, cfg.CNFClauseBound)
 	if err != nil {
 		return nil, err
 	}
+	work := newWorkset(parts, partOf, cnfs)
 	s.work = work
 
 	// Component structure: always derived (it labels the session for
@@ -534,9 +534,7 @@ func (s *Session) NextProbe() (req ProbeRequest, done bool, err error) {
 			unknown := candidates[:0:0]
 			for _, v := range candidates {
 				if ans, ok := s.repo.Answer(v); ok {
-					if err := s.applyKnown(v, ans); err != nil {
-						return ProbeRequest{}, true, err
-					}
+					s.applyKnown(v, ans)
 					continue
 				}
 				unknown = append(unknown, v)
@@ -567,9 +565,7 @@ func (s *Session) NextProbe() (req ProbeRequest, done bool, err error) {
 		// Selection can be slow; a concurrent session may have answered the
 		// chosen variable meanwhile. Apply the answer and reselect.
 		if ans, ok := s.repo.Answer(v); ok {
-			if err := s.applyKnown(v, ans); err != nil {
-				return ProbeRequest{}, true, err
-			}
+			s.applyKnown(v, ans)
 			continue
 		}
 		s.pending = &ProbeRequest{Var: v, Round: s.round, Meta: s.db.MetaFor(v)}
@@ -580,21 +576,16 @@ func (s *Session) NextProbe() (req ProbeRequest, done bool, err error) {
 
 // applyKnown plugs a repository-known answer into the working expressions
 // without an oracle probe, counting it as repository reuse.
-func (s *Session) applyKnown(v boolexpr.Var, answer bool) error {
+func (s *Session) applyKnown(v boolexpr.Var, answer bool) {
 	start := time.Now()
 	s.val.Set(v, answer)
 	s.stats.KnownReused++
-	delta, err := s.work.applyProbe(v, answer)
-	if err != nil {
-		s.err = err
-		return err
-	}
+	delta := s.work.applyProbe(v, answer)
 	s.noteDelta(delta)
 	s.obs.Emit(obs.StageRepoReuse, s.round, start, time.Since(start),
 		obs.Int("var", int(v)), obs.Int("decided", len(delta.decided)),
 		obs.Int("undecided", s.work.undecided))
 	s.obs.Gauge("undecided_exprs", float64(s.work.undecided))
-	return nil
 }
 
 // noteDelta accounts one probe delta: the resimplification counters and
@@ -651,11 +642,7 @@ func (s *Session) SubmitAnswer(v boolexpr.Var, answer bool) (done bool, err erro
 	s.repoSeen++                 // Observe appends exactly one record for our own probe
 
 	simplifyStart := time.Now()
-	delta, err := s.work.applyProbe(v, answer)
-	if err != nil {
-		s.err = err
-		return true, err
-	}
+	delta := s.work.applyProbe(v, answer)
 	s.noteDelta(delta)
 	s.obs.Emit(obs.StageSimplify, s.round, simplifyStart, time.Since(simplifyStart),
 		obs.Int("decided", len(delta.decided)),

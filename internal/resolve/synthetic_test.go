@@ -19,17 +19,8 @@ import (
 // expression overlaps are arbitrary.
 func syntheticWorkload(t *testing.T, nvars, nexprs, maxTerms, maxTermSize int, seed int64) (*uncertain.DB, *engine.Result) {
 	t.Helper()
-	db := table.NewDatabase()
-	rel := table.NewRelation("facts", table.NewSchema(table.Column{Name: "id", Kind: table.KindInt}))
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < nvars; i++ {
-		rel.MustAppend(table.Tuple{table.Int(int64(i))},
-			table.Metadata{"source": fmt.Sprintf("src-%d", i%5)})
-	}
-	db.MustAdd(rel)
-	udb := uncertain.New(db)
-
-	res := &engine.Result{Columns: []engine.OutCol{{Name: "id", Kind: table.KindInt}}}
+	exprs := make([]boolexpr.Expr, 0, nexprs)
 	for i := 0; i < nexprs; i++ {
 		nt := 1 + rng.Intn(maxTerms)
 		terms := make([]boolexpr.Term, 0, nt)
@@ -41,9 +32,29 @@ func syntheticWorkload(t *testing.T, nvars, nexprs, maxTerms, maxTermSize int, s
 			}
 			terms = append(terms, boolexpr.NewTerm(vars...))
 		}
+		exprs = append(exprs, boolexpr.NewExpr(terms...))
+	}
+	return exprWorkload(nvars, exprs...)
+}
+
+// exprWorkload builds an uncertain database of nvars tuples (with source
+// metadata), whose variables are 0..nvars-1, and a fabricated query result
+// with one row per expression, carrying it as provenance.
+func exprWorkload(nvars int, exprs ...boolexpr.Expr) (*uncertain.DB, *engine.Result) {
+	db := table.NewDatabase()
+	rel := table.NewRelation("facts", table.NewSchema(table.Column{Name: "id", Kind: table.KindInt}))
+	for i := 0; i < nvars; i++ {
+		rel.MustAppend(table.Tuple{table.Int(int64(i))},
+			table.Metadata{"source": fmt.Sprintf("src-%d", i%5)})
+	}
+	db.MustAdd(rel)
+	udb := uncertain.New(db)
+
+	res := &engine.Result{Columns: []engine.OutCol{{Name: "id", Kind: table.KindInt}}}
+	for i, e := range exprs {
 		res.Rows = append(res.Rows, engine.Row{
 			Tuple: table.Tuple{table.Int(int64(i))},
-			Prov:  boolexpr.NewExpr(terms...),
+			Prov:  e,
 		})
 	}
 	return udb, res

@@ -20,9 +20,7 @@ type workset struct {
 	exprs  []boolexpr.Expr
 	partOf []int // expression index -> original output-row index
 
-	needCNF  bool
-	cnfBound int
-	cnfs     []boolexpr.CNF
+	cnfs []boolexpr.CNF // nil when the utility reads no CNF
 
 	exprVars []map[boolexpr.Var]bool
 	varIndex map[boolexpr.Var][]int
@@ -40,27 +38,20 @@ type workset struct {
 }
 
 // newWorkset builds the working state. exprs are the provenance
-// expressions after splitting; partOf aligns them with output rows. When
-// needCNF is set, every expression's CNF is computed up front (bounded by
-// cnfBound clauses); a bound violation is an error — the caller should
-// have split the expression first.
-func newWorkset(exprs []boolexpr.Expr, partOf []int, needCNF bool, cnfBound int) (*workset, error) {
+// expressions after splitting; partOf aligns them with output rows. cnfs
+// holds each expression's CNF, as prepareExpressions returns them, or is
+// nil when the utility reads no CNF; applyProbe keeps them current.
+func newWorkset(exprs []boolexpr.Expr, partOf []int, cnfs []boolexpr.CNF) *workset {
 	w := &workset{
 		exprs:    append([]boolexpr.Expr(nil), exprs...),
 		partOf:   append([]int(nil), partOf...),
-		needCNF:  needCNF,
-		cnfBound: cnfBound,
+		cnfs:     append([]boolexpr.CNF(nil), cnfs...),
 		varIndex: make(map[boolexpr.Var][]int),
 		occ:      make(map[boolexpr.Var]int),
 	}
 	w.exprVars = make([]map[boolexpr.Var]bool, len(w.exprs))
-	if needCNF {
-		w.cnfs = make([]boolexpr.CNF, len(w.exprs))
-	}
 	for i, e := range w.exprs {
-		if err := w.refresh(i, e); err != nil {
-			return nil, err
-		}
+		w.refresh(i, e)
 		if !e.Decided() {
 			w.undecided++
 			for v := range w.exprVars[i] {
@@ -73,12 +64,12 @@ func newWorkset(exprs []boolexpr.Expr, partOf []int, needCNF bool, cnfBound int)
 		w.cands = append(w.cands, v)
 	}
 	sort.Slice(w.cands, func(i, j int) bool { return w.cands[i] < w.cands[j] })
-	return w, nil
+	return w
 }
 
-// refresh re-derives the per-expression caches after expression i becomes
-// (or is initialized as) e.
-func (w *workset) refresh(i int, e boolexpr.Expr) error {
+// refresh re-derives the per-expression variable caches after expression
+// i becomes (or is initialized as) e.
+func (w *workset) refresh(i int, e boolexpr.Expr) {
 	w.exprs[i] = e
 	vars := e.Vars()
 	set := make(map[boolexpr.Var]bool, len(vars))
@@ -87,14 +78,6 @@ func (w *workset) refresh(i int, e boolexpr.Expr) error {
 		w.varIndex[v] = appendUnique(w.varIndex[v], i)
 	}
 	w.exprVars[i] = set
-	if w.needCNF {
-		cnf, ok := e.ToCNF(w.cnfBound)
-		if !ok {
-			return fmt.Errorf("resolve: CNF of expression %d exceeds %d clauses; split it first", i, w.cnfBound)
-		}
-		w.cnfs[i] = cnf
-	}
-	return nil
 }
 
 func appendUnique(xs []int, x int) []int {
@@ -157,10 +140,10 @@ type probeDelta struct {
 }
 
 // applyProbe substitutes the answer for v into every expression containing
-// it, re-simplifying only those and updating the inverted index, the
-// occurrence counts and the live candidate list. It returns the probe
-// delta for cache reconciliation.
-func (w *workset) applyProbe(v boolexpr.Var, answer bool) (*probeDelta, error) {
+// it, re-simplifying only those, conditioning their CNFs on it and
+// updating the inverted index, the occurrence counts and the live
+// candidate list. It returns the probe delta for cache reconciliation.
+func (w *workset) applyProbe(v boolexpr.Var, answer bool) *probeDelta {
 	val := boolexpr.NewValuation()
 	val.Set(v, answer)
 	d := &probeDelta{probed: v, answer: answer}
@@ -173,8 +156,9 @@ func (w *workset) applyProbe(v boolexpr.Var, answer bool) (*probeDelta, error) {
 			}
 		}
 		simplified := w.exprs[i].Simplify(val)
-		if err := w.refresh(i, simplified); err != nil {
-			return nil, err
+		w.refresh(i, simplified)
+		if w.cnfs != nil {
+			w.cnfs[i] = w.cnfs[i].Condition(v, answer)
 		}
 		if simplified.Decided() {
 			w.undecided--
@@ -202,7 +186,7 @@ func (w *workset) applyProbe(v boolexpr.Var, answer bool) (*probeDelta, error) {
 		}
 	}
 	w.rev++
-	return d, nil
+	return d
 }
 
 // dropCand removes v from the sorted candidate list, if present.
@@ -253,55 +237,74 @@ const (
 // Splitting follows the paper's pre-processing (Section 7.1): when an
 // expression's CNF would exceed cnfBound clauses (or always, when
 // splitAll is set), its terms are partitioned randomly into parts of at
-// most maxTerms terms.
+// most maxTerms terms. When needCNF is set it also returns each part's
+// CNF, reusing the conversions the split pass made to test the bound; a
+// part whose CNF still exceeds cnfBound is an error.
 func prepareExpressions(
 	exprs []boolexpr.Expr,
 	known *boolexpr.Valuation,
 	split bool, splitAll bool, needCNF bool, maxTerms, cnfBound int,
 	rng *rand.Rand,
-) (parts []boolexpr.Expr, partOf []int) {
+) (parts []boolexpr.Expr, partOf []int, cnfs []boolexpr.CNF, err error) {
 	for row, e := range exprs {
 		s := e.Simplify(known)
-		needSplit := false
+		ps := []part{{e: s}}
 		if split && !s.Decided() {
+			var needSplit bool
 			if splitAll {
 				needSplit = s.NumTerms() > maxTerms
-			} else if _, ok := s.ToCNF(cnfBound); !ok {
-				needSplit = true
+			} else {
+				ps[0].cnf, ps[0].ok = s.ToCNF(cnfBound)
+				needSplit = !ps[0].ok
+			}
+			if needSplit {
+				bound := 0
+				if needCNF {
+					bound = cnfBound
+				}
+				ps = splitToFit(s, maxTerms, bound, rng)
 			}
 		}
-		if needSplit {
-			bound := 0
+		for _, p := range ps {
+			if needCNF && !p.ok {
+				if p.cnf, p.ok = p.e.ToCNF(cnfBound); !p.ok {
+					return nil, nil, nil, fmt.Errorf("resolve: CNF of expression %d exceeds %d clauses; split it first", len(parts), cnfBound)
+				}
+			}
+			parts = append(parts, p.e)
+			partOf = append(partOf, row)
 			if needCNF {
-				bound = cnfBound
+				cnfs = append(cnfs, p.cnf)
 			}
-			for _, p := range splitToFit(s, maxTerms, bound, rng) {
-				parts = append(parts, p)
-				partOf = append(partOf, row)
-			}
-			continue
 		}
-		parts = append(parts, s)
-		partOf = append(partOf, row)
 	}
-	return parts, partOf
+	return parts, partOf, cnfs, nil
+}
+
+// part is one working expression with the CNF the split pass derived for
+// it; ok reports whether cnf was derived within the clause bound.
+type part struct {
+	e   boolexpr.Expr
+	cnf boolexpr.CNF
+	ok  bool
 }
 
 // splitToFit splits e into parts of at most maxTerms terms and, when
 // cnfBound > 0, keeps halving the term bound of any part whose CNF still
-// exceeds the clause bound. A term bound of maxTerms does not by itself
-// bound the CNF — a B-term k-DNF can have k^B clauses — so for wide terms
-// (e.g. Q8's 8-way joins) parts shrink further, down to single-term parts
-// whose CNF is always |term| unit clauses.
-func splitToFit(e boolexpr.Expr, maxTerms, cnfBound int, rng *rand.Rand) []boolexpr.Expr {
-	parts := boolexpr.Split(e, maxTerms, rng)
-	if cnfBound <= 0 {
-		return parts
-	}
-	var out []boolexpr.Expr
-	for _, p := range parts {
-		if _, ok := p.ToCNF(cnfBound); ok || p.NumTerms() <= 1 {
-			out = append(out, p)
+// exceeds the clause bound, returning each part with the CNF that test
+// produced. A term bound of maxTerms does not by itself bound the CNF — a
+// B-term k-DNF can have k^B clauses — so for wide terms (e.g. Q8's 8-way
+// joins) parts shrink further, down to single-term parts whose CNF is
+// always |term| unit clauses.
+func splitToFit(e boolexpr.Expr, maxTerms, cnfBound int, rng *rand.Rand) []part {
+	var out []part
+	for _, p := range boolexpr.Split(e, maxTerms, rng) {
+		if cnfBound <= 0 {
+			out = append(out, part{e: p})
+			continue
+		}
+		if cnf, ok := p.ToCNF(cnfBound); ok || p.NumTerms() <= 1 {
+			out = append(out, part{p, cnf, ok})
 			continue
 		}
 		half := p.NumTerms() / 2
