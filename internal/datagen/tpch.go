@@ -34,11 +34,6 @@ func (c TPCHConfig) withDefaults() TPCHConfig {
 	return c
 }
 
-// DefaultTPCHConfig returns the test-scale configuration.
-func DefaultTPCHConfig(seed int64) TPCHConfig {
-	return TPCHConfig{Seed: seed}.withDefaults()
-}
-
 func scaled(base int, sf float64, min int) int {
 	n := int(float64(base) * sf)
 	if n < min {

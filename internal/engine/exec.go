@@ -162,9 +162,9 @@ func RunWith(db *uncertain.DB, plan Node, x Exec) (*Result, error) {
 // RunReference evaluates plan with the pre-streaming materializing
 // executor, with no plan rewriting: every operator computes its full output
 // before its parent starts. It is the pinned control for the streaming
-// path — equivalence tests and BenchmarkEngine run both and compare —
-// mirroring the DisableIncremental / FitForestReference pattern used by
-// the resolver and the learner.
+// path — equivalence tests and BenchmarkEngine run both and compare. The
+// resolver's full-recompute selector and the learner's reference trainer
+// play the same role, as test code in their packages.
 func RunReference(db *uncertain.DB, plan Node) (*Result, error) {
 	schema, rows, err := plan.exec(uncertainSource{db})
 	if err != nil {

@@ -30,12 +30,6 @@ type ForestConfig struct {
 	Obs *obs.Obs
 }
 
-// DefaultForestConfig mirrors the paper's setup: 100 trees, unbounded
-// depth, leaves down to a single example.
-func DefaultForestConfig(seed int64) ForestConfig {
-	return ForestConfig{Trees: 100, Seed: seed}
-}
-
 // Forest is a random-forest binary classifier with the standard
 // probability generalization the paper relies on (Section 4): "considering
 // each tree as a 'vote' for the class it assigns ... and using the

@@ -13,7 +13,7 @@ import (
 // BenchmarkRetrain measure the optimized path against it (the speedups in
 // results/BENCH_learn.json are new-vs-this), and the equivalence tests
 // use its split search as an independent oracle for the dense-counting
-// bestSplit. It is not used by any production path.
+// bestSplit. It is test code: production never trains with it.
 
 // FitForestReference trains a forest with the reference (pre-optimization)
 // loop. Because the reference draws every tree's randomness from one

@@ -162,9 +162,9 @@ func gini(pos, n int) float64 {
 // Counting uses the scratch's dense per-code arrays instead of a per-node
 // map, and candidate codes are evaluated in ascending order (tied gains
 // would otherwise pick a random winner, making training irreproducible
-// under a fixed seed). The selected split is identical to the one the
-// map-based reference implementation finds — see FitForestReference and
-// the equivalence tests.
+// under a fixed seed). The selected split is identical to the one found by
+// the map-based reference implementation kept in the package's tests —
+// see TestBestSplitMatchesReference.
 func bestSplit(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand, posTotal int, sc *treeScratch) (feature int, code int32, gain float64) {
 	nf := d.NumFeatures()
 	features := sc.feats[:nf]

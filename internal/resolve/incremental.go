@@ -23,7 +23,7 @@ type scoreStats struct {
 	misses   int
 }
 
-// incState is the per-session incremental scoring state: caches of
+// incState is one component shard's incremental scoring state: caches of
 // probability estimates and per-variable utility aggregates that survive
 // across probe-selection rounds and are reconciled against probe deltas
 // instead of being rebuilt. All caches key on two invariants:
@@ -33,25 +33,25 @@ type scoreStats struct {
 //     them) stay valid until the model retrains — at which point every
 //     cache is dropped wholesale. EP, KnownProbs and offline learners keep
 //     one version for the whole session; online learning retrains per
-//     probe, degrading gracefully to the full recompute it is anyway
-//     equivalent to.
+//     probe, degrading gracefully to a full recompute every round.
 //   - Simplification never introduces variables, so the candidate set only
 //     shrinks and cache keys are maintained purely by deletions driven by
 //     probeDelta.
 //
-// Per utility the cached aggregate is exactly the expensive part of the
-// full recompute, evaluated with the same shared helpers (qvalueVarScore,
-// termWeight, weightStatsSorted, ...) in the same operation order, which
-// is what makes incremental scores bit-identical to the full path.
+// Per utility the cached aggregate is exactly the expensive part of a
+// full per-round recompute, evaluated with the same helpers
+// (qvalueVarScore, termWeight, termOccurrences, ...) in the same operation
+// order, which is what makes incremental scores bit-identical to the
+// recompute the package's tests keep as an oracle.
 type incState struct {
 	work    *workset
 	learner *Learner
 	workers int
 
-	// exprIDs restricts full-scan cache builds to this expression subset (a
-	// component shard); nil means the whole workset. Delta reconciliation
-	// needs no restriction — the session routes each delta to the one shard
-	// whose component it touches.
+	// exprIDs are the shard component's expression indices, ascending;
+	// full-scan cache builds visit only these. Delta reconciliation needs
+	// no restriction — the session routes each delta to the one shard whose
+	// component it touches.
 	exprIDs []int
 
 	// ver is the Learner version the caches were built against; haveVer
@@ -89,7 +89,7 @@ type roCache struct {
 	// aligned with Expr.Terms().
 	weights map[int][]float64
 	// sorted is the ascending multiset of every undecided term's weight —
-	// the input of weightStatsSorted, maintained by binary-search
+	// the input of mergedWeightStats, maintained by binary-search
 	// insertion and removal instead of a full re-sort.
 	sorted []float64
 	// bestW is each candidate's maximum containing-term weight.
@@ -99,10 +99,9 @@ type roCache struct {
 	dirtyVars  map[boolexpr.Var]bool
 }
 
-// newIncState builds the incremental scoring state for a session or one
-// component shard of it. workers bounds rescore parallelism; <= 0 defaults
-// to GOMAXPROCS. exprIDs scopes full-scan cache builds to that expression
-// subset; nil covers the whole workset.
+// newIncState builds the incremental scoring state for the component shard
+// over expressions exprIDs. workers bounds rescore parallelism; <= 0
+// defaults to GOMAXPROCS.
 func newIncState(work *workset, learner *Learner, workers int, exprIDs []int) *incState {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -110,19 +109,11 @@ func newIncState(work *workset, learner *Learner, workers int, exprIDs []int) *i
 	return &incState{work: work, learner: learner, workers: workers, exprIDs: exprIDs}
 }
 
-// eachUndecided visits the undecided expressions in scope — the exprIDs
-// subset if set, otherwise the whole workset — in ascending index order.
+// eachUndecided visits the shard's undecided expressions in ascending
+// index order.
 func (inc *incState) eachUndecided(fn func(i int, e boolexpr.Expr)) {
-	if inc.exprIDs != nil {
-		for _, i := range inc.exprIDs {
-			if e := inc.work.exprs[i]; !e.Decided() {
-				fn(i, e)
-			}
-		}
-		return
-	}
-	for i, e := range inc.work.exprs {
-		if !e.Decided() {
+	for _, i := range inc.exprIDs {
+		if e := inc.work.exprs[i]; !e.Decided() {
 			fn(i, e)
 		}
 	}
@@ -135,9 +126,6 @@ func (inc *incState) eachUndecided(fn func(i int, e boolexpr.Expr)) {
 // call (lazily, so several deltas between scoring rounds — e.g. a burst of
 // repository-known answers — coalesce into one reconcile pass).
 func (inc *incState) noteDelta(d *probeDelta) {
-	if inc == nil {
-		return
-	}
 	gone := func(v boolexpr.Var) {
 		delete(inc.probs, v)
 		delete(inc.qv, v)
@@ -210,36 +198,11 @@ func (inc *incState) candidateProbs(candidates []boolexpr.Var) (probs map[boolex
 	return inc.probs, 0, len(candidates)
 }
 
-// scores reconciles the round's utility caches and returns a score lookup
-// for the selector. Returning a function instead of materializing a map
-// keeps the steady-state round free of O(candidates) map construction: the
-// selector evaluates each candidate once, with the exact floats the full
-// recompute would put in its map. ok is false for utilities the cache does
-// not understand; the caller then falls back to the full Utility.Scores
-// path.
-func (inc *incState) scores(util Utility, candidates []boolexpr.Var, probs map[boolexpr.Var]float64, round int) (func(boolexpr.Var) float64, scoreStats, bool) {
-	switch util.(type) {
-	case QValue:
-		fn, st := inc.qvalueScores(candidates, probs)
-		return fn, st, true
-	case RO:
-		fn, st := inc.roScores(candidates, probs)
-		return fn, st, true
-	case General:
-		if round%2 == 1 {
-			fn, st := inc.roScores(candidates, probs)
-			return fn, st, true
-		}
-		fn, st := inc.generalFalseScores(candidates, probs)
-		return fn, st, true
-	default:
-		return nil, scoreStats{}, false
-	}
-}
-
-// qvalueScores maintains the per-variable Formula (1) cache: dirty
-// variables are rescored (in parallel) with the same qvalueVarScore the
-// full path uses; everything else keeps its cached score.
+// qvalueScores maintains the per-variable Formula (1) cache and returns a
+// score lookup for the selector: dirty variables are rescored (in
+// parallel) with qvalueVarScore; everything else keeps its cached score.
+// Returning a function instead of materializing a map keeps the
+// steady-state round free of O(candidates) map construction.
 func (inc *incState) qvalueScores(candidates []boolexpr.Var, probs map[boolexpr.Var]float64) (func(boolexpr.Var) float64, scoreStats) {
 	var st scoreStats
 	if inc.qv == nil {
@@ -264,7 +227,7 @@ func (inc *incState) qvalueScores(candidates []boolexpr.Var, probs map[boolexpr.
 
 // generalFalseScores maintains the Formula (3) term-occurrence cache and
 // derives the round's scores from it. The occurrence counts are exact
-// integers, so the delta-maintained counts match the full scan bit for bit.
+// integers, so the delta-maintained counts match a full scan bit for bit.
 func (inc *incState) generalFalseScores(candidates []boolexpr.Var, probs map[boolexpr.Var]float64) (func(boolexpr.Var) float64, scoreStats) {
 	var st scoreStats
 	if inc.tc == nil {
@@ -295,21 +258,11 @@ func (inc *incState) generalFalseScores(candidates []boolexpr.Var, probs map[boo
 	return func(v boolexpr.Var) float64 { return generalFalseScore(probs[v], tc[v]) }, st
 }
 
-// roScores maintains the Formula (2) caches and derives the round's score
-// function from them: reconcile the weight structures, size α from the
-// maintained multiset with the same weightStatsSorted the full path sorts
-// into, and combine. Component shards call the two halves — roReconcile
-// and roScoreFn — separately, because their α must come from the k-way
-// merge of every shard's multiset rather than one shard's own.
-func (inc *incState) roScores(candidates []boolexpr.Var, probs map[boolexpr.Var]float64) (func(boolexpr.Var) float64, scoreStats) {
-	st := inc.roReconcile(candidates, probs)
-	minW, gap := weightStatsSorted(inc.ro.sorted)
-	return inc.roScoreFn(probs, roAlphaFromStats(minW, gap)), st
-}
-
 // roReconcile maintains the Formula (2) caches: touched expressions refresh
 // their term weights in the sorted multiset, dirty variables recompute
-// their best containing-term weight.
+// their best containing-term weight. The round's α comes from the k-way
+// merge of every shard's multiset, so the final combine is a separate
+// step (roScoreFn).
 func (inc *incState) roReconcile(candidates []boolexpr.Var, probs map[boolexpr.Var]float64) scoreStats {
 	inc.ensureVersion()
 	prob := func(v boolexpr.Var) float64 { return probs[v] }

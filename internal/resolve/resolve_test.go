@@ -236,7 +236,7 @@ func TestUtilityPaperExample52(t *testing.T) {
 	candidates := w.candidates()
 
 	// Formula (3) (General's even rounds): a1 maximal with utility 2.7.
-	gScores := General{}.Scores(w, prob, candidates, 0)
+	gScores := fullScores(General{}, w, prob, candidates, 0)
 	a1 := v("Acquisitions", 1)
 	if got := gScores[a1]; got < 2.699 || got > 2.701 {
 		t.Errorf("General(a1) = %f, want 2.7", got)
@@ -249,7 +249,7 @@ func TestUtilityPaperExample52(t *testing.T) {
 
 	// Formula (2) (RO): the five variables of the weight-0.405 terms tie
 	// at the top.
-	roScoresMap := RO{}.Scores(w, prob, candidates, 0)
+	roScoresMap := fullScores(RO{}, w, prob, candidates, 0)
 	top := map[boolexpr.Var]bool{
 		v("Education", 0): true, v("Education", 2): true, v("Education", 3): true,
 		v("Roles", 0): true, v("Roles", 2): true,
@@ -271,7 +271,7 @@ func TestUtilityPaperExample52(t *testing.T) {
 	}
 
 	// General's odd rounds are Formula (2).
-	gOdd := General{}.Scores(w, prob, candidates, 1)
+	gOdd := fullScores(General{}, w, prob, candidates, 1)
 	for x := range gOdd {
 		if gOdd[x] != roScoresMap[x] {
 			t.Errorf("General odd round must equal RO scores")
@@ -294,7 +294,7 @@ func TestQValueDecidingProbeWins(t *testing.T) {
 	}
 	w := newWorkset(exprs, []int{0, 1}, cnfs)
 	prob := func(boolexpr.Var) float64 { return 0.5 }
-	scores := QValue{}.Scores(w, prob, w.candidates(), 0)
+	scores := fullScores(QValue{}, w, prob, w.candidates(), 0)
 	// x0: nt*nc = 1; both hypothetical products are 0 → score 1.
 	if scores[0] != 1 {
 		t.Errorf("QValue(x0) = %f, want 1", scores[0])

@@ -44,7 +44,7 @@ type Parallelism struct {
 	// Forest bounds forest-training parallelism in the Learner.
 	Forest int
 	// Rescore bounds the incremental rescore fan-out within one component
-	// shard (or across the whole workset when sharding is inactive).
+	// shard.
 	Rescore int
 	// Shards bounds how many component shards run probe scoring
 	// concurrently within one selection round.
@@ -110,22 +110,6 @@ type Config struct {
 	// to one worker per CPU.
 	Parallel Parallelism
 
-	// DisableIncremental turns off incremental scoring: every round then
-	// recomputes all probabilities and utility scores from scratch (and
-	// component sharding, which builds on the incremental caches, is off
-	// too). Incremental scoring is ON by default — probe choices are
-	// bit-identical either way, because the caches reuse the full path's
-	// arithmetic on unchanged inputs — so this switch exists only for
-	// benchmarking the speedup and as an escape hatch. Wire APIs expose
-	// the positive form ("incremental", default true) instead of this
-	// double negative.
-	DisableIncremental bool
-	// DisableSharding turns off component-sharded probe selection: the
-	// workset is then scored as one monolithic unit even when it splits
-	// into variable-disjoint components. Probe choices are bit-identical
-	// with sharding on or off; the switch exists for benchmarking the
-	// sharded speedup and as an escape hatch.
-	DisableSharding bool
 	// fullRetrain disables the Learner's warm-started retrain path (see
 	// LearnerConfig.fullRetrain); models are identical either way. Only
 	// the warm-start equivalence tests set it.
@@ -202,9 +186,9 @@ type Stats struct {
 	// the variable→expression inverted index, not the full working set.
 	TuplesResimplified int
 	// VarsRescored counts candidate variables whose utility aggregate was
-	// recomputed during scoring. With the incremental path this is only the
-	// variables co-occurring with probed ones; the full path rescores every
-	// candidate every round.
+	// recomputed during scoring: every candidate of a shard when it first
+	// scores (and again after a retrain drops its caches), afterwards only
+	// the variables co-occurring with probed ones.
 	VarsRescored int
 	// ScoreCacheHits and ScoreCacheMisses count candidates served from the
 	// incremental utility-score cache versus recomputed.
@@ -218,7 +202,8 @@ type Stats struct {
 	// ShardRoundsReused counts per-shard selection rounds served entirely
 	// from a shard's cached winner: the shard received no probe delta and
 	// the model did not retrain, so its previous argmax is still exact and
-	// scoring is skipped. Zero when component sharding is inactive.
+	// scoring is skipped. Zero for baselines, which build no shards, and
+	// for single-component worksets, whose one shard receives every delta.
 	ShardRoundsReused int
 	// Learner, LAL, Utility and Selector time each framework component
 	// per probe selection. Baselines populate the timers they exercise
@@ -310,7 +295,6 @@ type Session struct {
 	cfg      Config
 
 	work   *workset
-	inc    *incState           // incremental scoring caches; nil when disabled or sharded
 	val    *boolexpr.Valuation // accumulated answers for provenance variables
 	lalBuf []float64           // reused uncertainty-score buffer, one per round
 	rng    *rand.Rand
@@ -319,15 +303,15 @@ type Session struct {
 	obs    *obs.Obs
 	err    error
 
-	// shards are the per-component sub-resolutions when component-sharded
-	// selection is active (nil otherwise); varShard maps each candidate
-	// variable to the shard owning its component. componentCount and
-	// componentSig describe the workset's component structure at session
-	// start regardless of whether sharding activated.
+	// shards are the per-component sub-resolutions of a framework session,
+	// one per component (nil for baselines, which select without them);
+	// varShard maps each candidate variable to the shard owning its
+	// component. componentCount and componentSig describe the workset's
+	// component structure at session start.
 	shards         []*shard
 	varShard       map[boolexpr.Var]int
 	shardWorkers   int
-	scoredBuf      []*shard // per-round scratch for nextSharded's partition
+	scoredBuf      []*shard // per-round scratch for the selection round's partition
 	componentCount int
 	componentSig   string
 
@@ -452,16 +436,15 @@ func NewSession(db *uncertain.DB, result *engine.Result, orc Oracle, repo *Repos
 	s.work = work
 
 	// Component structure: always derived (it labels the session for
-	// shard-group placement in serving mode); shards are only built when
-	// the configuration is eligible and the workset actually splits.
+	// shard-group placement in serving mode). Framework sessions select
+	// through one shard per component; baselines keep their own selectors
+	// (Random draws from one global RNG stream whose consumption order must
+	// not depend on shard structure).
 	groups := boolexpr.Components(work.exprs)
 	s.componentCount = len(groups)
 	s.componentSig = componentSignature(work, groups)
-	switch {
-	case s.shardingEligible(groups):
+	if cfg.Baseline == BaselineNone {
 		s.buildShards(groups)
-	case !cfg.DisableIncremental:
-		s.inc = newIncState(work, s.learner, cfg.Parallel.Rescore, nil)
 	}
 	s.obs.Emit(obs.StageSplit, -1, splitStart, time.Since(splitStart),
 		obs.Int("parts", len(parts)),
@@ -475,8 +458,8 @@ func NewSession(db *uncertain.DB, result *engine.Result, orc Oracle, repo *Repos
 
 // Components reports how many variable-disjoint connected components the
 // working expressions formed at session start (0 when the session started
-// fully decided). Components share no variables, so they are resolved by
-// independent per-component score caches when sharding is active.
+// fully decided). Components share no variables, so a framework session
+// resolves each through its own shard of score caches.
 func (s *Session) Components() int { return s.componentCount }
 
 // ComponentSignature is a stable fingerprint of the workset's component
@@ -589,18 +572,15 @@ func (s *Session) applyKnown(v boolexpr.Var, answer bool) {
 }
 
 // noteDelta accounts one probe delta: the resimplification counters and
-// the incremental caches' dirty sets both feed off it. With sharding
-// active the delta routes to the one shard owning the probed variable —
-// components share no variables, so a probe can never touch another
-// shard's state.
+// the incremental caches' dirty sets both feed off it. The delta routes to
+// the one shard owning the probed variable — components share no
+// variables, so a probe can never touch another shard's state.
 func (s *Session) noteDelta(d *probeDelta) {
 	s.stats.TuplesResimplified += len(d.touched)
 	s.obs.Count("tuples_resimplified", int64(len(d.touched)))
 	if s.shards != nil {
 		s.shards[s.varShard[d.probed]].noteDelta(d)
-		return
 	}
-	s.inc.noteDelta(d)
 }
 
 // Pending returns the outstanding probe request, if any.

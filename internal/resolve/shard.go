@@ -13,20 +13,21 @@ import (
 	"qres/internal/obs"
 )
 
-// Component-sharded probe selection. The workset's connected components
-// share no variables (paper Section 6), so each one is scored by its own
-// shard — a per-component candidate list, incremental score cache and
-// cached winner — and the Probe Selector merges the per-shard argmaxes
-// under the global policy (highest combined score, ties to the smallest
-// variable). The merge is exact: the monolithic selector scans all
-// candidates ascending and keeps the first maximum, i.e. the smallest
-// variable of the global argmax set; that variable lives in some shard,
-// where it is also the shard winner, so merging shard winners by
-// (score desc, variable asc) returns exactly it. Probe choices are
-// therefore bit-identical to the unsharded path for any shard-worker
-// count, while wall-clock per round drops to the dirty shards' work: a
-// probe delta touches exactly one component, every other shard's caches —
-// and, between retrains, its winner — stay valid.
+// Component-sharded probe selection, the one way a framework session
+// selects its probes. The workset's connected components share no
+// variables (paper Section 6), so each one is scored by its own shard — a
+// per-component candidate list, incremental score cache and cached winner
+// — and the Probe Selector merges the per-shard argmaxes under the global
+// policy (highest combined score, ties to the smallest variable). The
+// merge is exact: a scan of all candidates in ascending order keeping the
+// first maximum returns the smallest variable of the global argmax set;
+// that variable lives in some shard, where it is also the shard winner,
+// so merging shard winners by (score desc, variable asc) returns exactly
+// it. With one component the single shard's argmax is that scan. Probe
+// choices are therefore independent of the component structure and of
+// the shard-worker count, while wall-clock per round drops to the dirty
+// shards' work: a probe delta touches exactly one component, every other
+// shard's caches — and, between retrains, its winner — stay valid.
 
 // shard is one connected component's share of probe selection.
 type shard struct {
@@ -63,49 +64,6 @@ type shardWinner struct {
 	f     float64
 	ver   uint64
 	valid bool
-}
-
-// scoreKind names the score family a utility uses in a given round; the
-// winner cache is keyed on it because the General utility alternates
-// families between rounds.
-type scoreKind uint8
-
-const (
-	kindQValue scoreKind = iota
-	kindRO
-	kindGeneralFalse
-	numScoreKinds
-)
-
-// scoreKindFor returns the family util scores with in the given round.
-func scoreKindFor(util Utility, round int) (scoreKind, bool) {
-	switch util.(type) {
-	case QValue:
-		return kindQValue, true
-	case RO:
-		return kindRO, true
-	case General:
-		if round%2 == 1 {
-			return kindRO, true
-		}
-		return kindGeneralFalse, true
-	}
-	return 0, false
-}
-
-// shardingEligible reports whether this configuration can run sharded
-// selection: a known utility (its score families are what the shards
-// cache), the incremental path on, and a workset that actually splits.
-// Baselines keep the monolithic path — Random draws from one global RNG
-// stream whose consumption order must not depend on shard structure.
-func (s *Session) shardingEligible(groups [][]int) bool {
-	if s.cfg.DisableSharding || s.cfg.DisableIncremental || s.cfg.Baseline != BaselineNone {
-		return false
-	}
-	if _, ok := scoreKindFor(s.cfg.Utility, 0); !ok {
-		return false
-	}
-	return len(groups) > 1
 }
 
 // buildShards materializes one shard per component and the variable→shard
@@ -157,14 +115,38 @@ func (sh *shard) dropCand(v boolexpr.Var) {
 	}
 }
 
-// nextSharded is one probe-selection round over the component shards: the
+// cacheCounts tallies one selection round's cache behaviour.
+type cacheCounts struct {
+	probHits, probMisses   int
+	scoreHits, scoreMisses int
+	rescored               int
+}
+
+// countCaches adds one round's cache tallies to the session Stats and to
+// the metrics registry: both are fed from here, so they cannot disagree.
+func (s *Session) countCaches(c cacheCounts) {
+	s.stats.ProbCacheHits += c.probHits
+	s.stats.ProbCacheMisses += c.probMisses
+	s.stats.ScoreCacheHits += c.scoreHits
+	s.stats.ScoreCacheMisses += c.scoreMisses
+	s.stats.VarsRescored += c.rescored
+	s.obs.Count("prob_cache_hits", int64(c.probHits))
+	s.obs.Count("prob_cache_misses", int64(c.probMisses))
+	s.obs.Count("score_cache_hits", int64(c.scoreHits))
+	s.obs.Count("score_cache_misses", int64(c.scoreMisses))
+	s.obs.Count("vars_rescored", int64(c.rescored))
+}
+
+// next is one probe-selection round over the component shards: the
 // framework sub-steps 4.1–4.3 run per shard (in parallel across up to
 // Parallel.Shards workers), then the per-shard winners merge under the
-// global selector policy.
-func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
-	kind, _ := scoreKindFor(u.util, s.round)
+// global selector policy. The shards maintain their own candidate lists,
+// which together equal the session's candidates.
+func (u utilityStrategy) next(s *Session, _ []boolexpr.Var) (boolexpr.Var, error) {
+	kind := u.util.kind(s.round)
 	ver := s.learner.Version()
 	online := s.learner.Mode() == LearnOnline
+	var counts cacheCounts
 
 	// Partition the live shards: a shard whose cached winner is still
 	// exact (no delta since it was scored, same model version, same score
@@ -174,8 +156,8 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	// so cached combined scores go stale even in clean shards. The scored
 	// buffer is reused across rounds: in steady state only the probed
 	// component rescans, and this loop must stay O(#shards) with no
-	// per-round allocation or it erases the win over the monolithic
-	// O(#candidates) scan.
+	// per-round allocation or it erases the win over an O(#candidates)
+	// scan of the whole workset.
 	scored := s.scoredBuf[:0]
 	reused, total := 0, 0
 	for _, sh := range s.shards {
@@ -185,8 +167,8 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 		total += len(sh.cands)
 		if w := sh.winners[kind]; kind != kindRO && !online && w.valid && w.ver == ver {
 			reused++
-			s.stats.ProbCacheHits += len(sh.cands)
-			s.stats.ScoreCacheHits += len(sh.cands)
+			counts.probHits += len(sh.cands)
+			counts.scoreHits += len(sh.cands)
 			continue
 		}
 		scored = append(scored, sh)
@@ -194,27 +176,28 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	s.scoredBuf = scored
 	s.stats.ShardRoundsReused += reused
 
-	// Sub-step 4.1a: probability estimation per shard (Learner).
+	// Sub-step 4.1a: probability estimation per shard (Learner). Estimates
+	// are served from the per-version cache; only new (or
+	// model-invalidated) candidates hit the classifier.
 	s.component(obs.StageLearner, &s.stats.Learner, func() {
 		s.forEachShard(len(scored), func(i int) {
 			sh := scored[i]
 			sh.probs, sh.probHits, sh.probMiss = sh.inc.candidateProbs(sh.cands)
 		})
 		for _, sh := range scored {
-			s.stats.ProbCacheHits += sh.probHits
-			s.stats.ProbCacheMisses += sh.probMiss
-			s.obs.Count("prob_cache_hits", int64(sh.probHits))
-			s.obs.Count("prob_cache_misses", int64(sh.probMiss))
+			counts.probHits += sh.probHits
+			counts.probMisses += sh.probMiss
 		}
 	}, obs.Int("candidates", total), obs.Int("shards", len(scored)))
 
-	// Sub-step 4.2: utility computation per shard. RO-family rounds split
-	// in two phases around the global α: every shard first reconciles its
-	// weight cache (including decided shards with unreconciled removals,
-	// whose stale weights would otherwise pollute the multiset), then α
-	// derives from the k-way merged per-shard multisets — bit-identical to
-	// the monolithic multiset, because adjacent gaps depend only on the
-	// merged values — and the per-shard score closures share it.
+	// Sub-step 4.2: utility computation per shard, rescoring only the
+	// variables whose surroundings changed since the shard last scored.
+	// RO-family rounds split in two phases around the global α: every
+	// shard first reconciles its weight cache (including decided shards
+	// with unreconciled removals, whose stale weights would otherwise
+	// pollute the multiset), then α derives from the k-way merged
+	// per-shard multisets — whose statistics depend only on the merged
+	// values — and the per-shard score closures share it.
 	s.component(obs.StageUtility, &s.stats.Utility, func() {
 		if kind == kindRO {
 			reconcile := scored
@@ -248,18 +231,16 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 			})
 		}
 		for _, sh := range scored {
-			s.stats.VarsRescored += sh.scoreStat.rescored
-			s.stats.ScoreCacheHits += sh.scoreStat.hits
-			s.stats.ScoreCacheMisses += sh.scoreStat.misses
-			s.obs.Count("vars_rescored", int64(sh.scoreStat.rescored))
-			s.obs.Count("score_cache_hits", int64(sh.scoreStat.hits))
-			s.obs.Count("score_cache_misses", int64(sh.scoreStat.misses))
+			counts.rescored += sh.scoreStat.rescored
+			counts.scoreHits += sh.scoreStat.hits
+			counts.scoreMisses += sh.scoreStat.misses
 		}
 	}, obs.Str("utility", u.util.Name()))
+	s.countCaches(counts)
 
 	// Sub-step 4.1b: uncertainty reduction (LAL), online mode only. The
 	// per-variable estimate is a pure function of the shared Learner state,
-	// so per-shard batches equal one monolithic batch.
+	// so per-shard batches equal one batch over every candidate.
 	if online {
 		s.component(obs.StageLAL, &s.stats.LAL, func() {
 			s.forEachShard(len(scored), func(i int) {
@@ -271,8 +252,9 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	}
 
 	// Sub-step 4.3: per-shard argmax (ascending candidates, first maximum
-	// kept — the monolithic scan restricted to the shard), then the global
-	// merge by (combined score desc, variable asc).
+	// kept), then the global merge by (combined score desc, variable asc).
+	// In cost-aware mode candidates are ranked by score per unit cost (the
+	// Section 9 extension).
 	var best boolexpr.Var
 	s.component(obs.StageSelector, &s.stats.Selector, func() {
 		s.forEachShard(len(scored), func(i int) {

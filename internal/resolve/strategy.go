@@ -1,7 +1,6 @@
 package resolve
 
 import (
-	"fmt"
 	"math/rand"
 
 	"qres/internal/boolexpr"
@@ -13,8 +12,6 @@ import (
 // combination function) and the paper's baselines (Random, Greedy,
 // LAL-only) all implement it.
 type Strategy interface {
-	// Name identifies the strategy in reports ("Q-Value+LAL", "Greedy", ...).
-	Name() string
 	// NeedsCNF reports whether the session must maintain CNFs.
 	NeedsCNF() bool
 	// next picks one of candidates; candidates is non-empty and sorted.
@@ -24,7 +21,6 @@ type Strategy interface {
 // randomStrategy probes variables in a random order (baseline).
 type randomStrategy struct{ rng *rand.Rand }
 
-func (randomStrategy) Name() string   { return "Random" }
 func (randomStrategy) NeedsCNF() bool { return false }
 func (r randomStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
 	var v boolexpr.Var
@@ -39,7 +35,6 @@ func (r randomStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Va
 // Boolean structure but ignores probabilities.
 type greedyStrategy struct{}
 
-func (greedyStrategy) Name() string   { return "Greedy" }
 func (greedyStrategy) NeedsCNF() bool { return false }
 func (greedyStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
 	var best boolexpr.Var
@@ -71,7 +66,6 @@ func (greedyStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var,
 // signal (the paper's "LAL only" baseline, which performs poorly).
 type lalOnlyStrategy struct{}
 
-func (lalOnlyStrategy) Name() string   { return "LAL only" }
 func (lalOnlyStrategy) NeedsCNF() bool { return false }
 func (lalOnlyStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
 	var scores []float64
@@ -94,108 +88,11 @@ func (lalOnlyStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var
 
 // utilityStrategy is a full framework instantiation: Learner probabilities
 // feed a utility function, LAL scores uncertainty reduction, and the Probe
-// Selector combines them with a Combine function (Steps 4.1–4.3).
+// Selector combines them with a Combine function (Steps 4.1–4.3). Its
+// selection round runs over the session's component shards (shard.go).
 type utilityStrategy struct {
 	util    Utility
 	combine Combine
 }
 
-func (u utilityStrategy) Name() string {
-	return fmt.Sprintf("%s+%s", u.util.Name(), "?") // overridden by Session.Name
-}
-
 func (u utilityStrategy) NeedsCNF() bool { return u.util.NeedsCNF() }
-
-func (u utilityStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
-	// Component-sharded selection: when the workset splits into multiple
-	// connected components, each runs Steps 4.1–4.3 on its own shard and
-	// the winners merge under the same selector policy (see shard.go).
-	if s.shards != nil {
-		return s.nextSharded(u)
-	}
-	// Sub-step 4.1a: probability estimation, timed as "Learner". With the
-	// incremental path, estimates are served from the per-version cache and
-	// only new (or model-invalidated) candidates hit the classifier.
-	var probs map[boolexpr.Var]float64
-	s.component(obs.StageLearner, &s.stats.Learner, func() {
-		if s.inc != nil {
-			var hits, misses int
-			probs, hits, misses = s.inc.candidateProbs(candidates)
-			s.stats.ProbCacheHits += hits
-			s.stats.ProbCacheMisses += misses
-			s.obs.Count("prob_cache_hits", int64(hits))
-			s.obs.Count("prob_cache_misses", int64(misses))
-		} else {
-			probs = make(map[boolexpr.Var]float64, len(candidates))
-			for _, v := range candidates {
-				probs[v] = s.learner.Prob(v)
-			}
-			s.stats.ProbCacheMisses += len(candidates)
-			s.obs.Count("prob_cache_misses", int64(len(candidates)))
-		}
-	}, obs.Int("candidates", len(candidates)))
-
-	// Sub-step 4.2: utility computation, timed under the utility's name.
-	// The incremental path rescores only the variables whose surroundings
-	// changed since the last round; probe choices stay bit-identical to the
-	// full recompute because both paths share their arithmetic.
-	var score func(boolexpr.Var) float64
-	s.component(obs.StageUtility, &s.stats.Utility, func() {
-		if s.inc != nil {
-			if fn, st, ok := s.inc.scores(u.util, candidates, probs, s.round); ok {
-				score = fn
-				s.stats.VarsRescored += st.rescored
-				s.stats.ScoreCacheHits += st.hits
-				s.stats.ScoreCacheMisses += st.misses
-				s.obs.Count("vars_rescored", int64(st.rescored))
-				s.obs.Count("score_cache_hits", int64(st.hits))
-				s.obs.Count("score_cache_misses", int64(st.misses))
-				return
-			}
-		}
-		scores := u.util.Scores(s.work,
-			func(v boolexpr.Var) float64 { return probs[v] },
-			candidates, s.round)
-		score = func(v boolexpr.Var) float64 { return scores[v] }
-		s.stats.VarsRescored += len(candidates)
-		s.stats.ScoreCacheMisses += len(candidates)
-		s.obs.Count("vars_rescored", int64(len(candidates)))
-		s.obs.Count("score_cache_misses", int64(len(candidates)))
-	}, obs.Str("utility", u.util.Name()))
-
-	// Sub-step 4.1b: uncertainty reduction (LAL), timed separately. The
-	// batch call reuses the session's score buffer across rounds and
-	// snapshots the repository state once per round; outside online mode
-	// the slice stays nil and uncertainty is 0 for every candidate.
-	var uncertainty []float64
-	if s.learner.Mode() == LearnOnline {
-		s.component(obs.StageLAL, &s.stats.LAL, func() {
-			s.lalBuf = s.learner.UncertaintyBatch(candidates, s.lalBuf)
-			uncertainty = s.lalBuf
-		})
-	}
-
-	// Sub-step 4.3: the Probe Selector combines and picks the argmax,
-	// breaking ties by smallest variable for determinism. In cost-aware
-	// mode candidates are ranked by score per unit cost (the Section 9
-	// extension).
-	var best boolexpr.Var
-	s.component(obs.StageSelector, &s.stats.Selector, func() {
-		bestScore := 0.0
-		first := true
-		for i, v := range candidates {
-			unc := 0.0
-			if uncertainty != nil {
-				unc = uncertainty[i]
-			}
-			f := u.combine.Eval(score(v), unc)
-			if s.cfg.CostAware {
-				f /= s.cost(v)
-			}
-			if first || f > bestScore {
-				best, bestScore, first = v, f, false
-			}
-		}
-	})
-	return best, nil
-}

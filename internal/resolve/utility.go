@@ -1,10 +1,6 @@
 package resolve
 
-import (
-	"sort"
-
-	"qres/internal/boolexpr"
-)
+import "qres/internal/boolexpr"
 
 // roEpsilon is the ε of the paper's Formula (2): a small positive constant
 // keeping α finite when the minimal term weight is 0.
@@ -16,6 +12,10 @@ const roEpsilon = 1e-6
 // Interactive Boolean Evaluation algorithms of [28], [15]/[31] and [4] as
 // score functions: for any expressions and probabilities, the probe the
 // original algorithm would choose receives the highest score.
+//
+// The interface is closed: its unexported kind method ties every
+// implementation to a score family the component shards' caches
+// maintain.
 type Utility interface {
 	// Name is the paper's name for the function ("Q-Value", "RO",
 	// "General").
@@ -23,11 +23,23 @@ type Utility interface {
 	// NeedsCNF reports whether the function requires per-expression CNFs
 	// (only Q-Value does; large expressions are then split first).
 	NeedsCNF() bool
-	// Scores computes the round's utility for every candidate. prob gives
-	// the Learner's current estimate π̃; round counts selection rounds
-	// from 0 (the General utility alternates its two sub-functions on it).
-	Scores(w *workset, prob func(boolexpr.Var) float64, candidates []boolexpr.Var, round int) map[boolexpr.Var]float64
+	// kind names the score family the function uses in the given
+	// selection round, counted from 0 (the General utility alternates its
+	// two sub-functions on it).
+	kind(round int) scoreKind
 }
+
+// scoreKind names the score family a utility uses in a given round; the
+// shards' winner cache is keyed on it because the General utility
+// alternates families between rounds.
+type scoreKind uint8
+
+const (
+	kindQValue scoreKind = iota
+	kindRO
+	kindGeneralFalse
+	numScoreKinds
+)
 
 // QValue is the paper's Formula (1): the expected drop in the nt·nc
 // product (DNF terms × CNF clauses) over all expressions containing the
@@ -44,19 +56,11 @@ func (QValue) Name() string { return "Q-Value" }
 // NeedsCNF implements Utility: Q-Value is the one CNF-dependent function.
 func (QValue) NeedsCNF() bool { return true }
 
-// Scores implements Utility.
-func (QValue) Scores(w *workset, prob func(boolexpr.Var) float64, candidates []boolexpr.Var, _ int) map[boolexpr.Var]float64 {
-	out := make(map[boolexpr.Var]float64, len(candidates))
-	for _, v := range candidates {
-		out[v] = qvalueVarScore(w, v, prob(v))
-	}
-	return out
-}
+// kind implements Utility.
+func (QValue) kind(int) scoreKind { return kindQValue }
 
 // qvalueVarScore is one candidate's Formula (1) score: the expected drop
-// in the nt·nc product over the undecided expressions containing v. It is
-// shared verbatim by the full recompute and the incremental cache so both
-// paths produce bit-identical floats.
+// in the nt·nc product over the undecided expressions containing v.
 func qvalueVarScore(w *workset, v boolexpr.Var, p float64) float64 {
 	var score float64
 	for _, i := range w.exprsWith(v) {
@@ -87,46 +91,15 @@ func (RO) Name() string { return "RO" }
 // NeedsCNF implements Utility.
 func (RO) NeedsCNF() bool { return false }
 
-// Scores implements Utility.
-func (RO) Scores(w *workset, prob func(boolexpr.Var) float64, candidates []boolexpr.Var, _ int) map[boolexpr.Var]float64 {
-	return roScores(w, prob, candidates)
-}
+// kind implements Utility.
+func (RO) kind(int) scoreKind { return kindRO }
 
 // weightGapTolerance is the resolution below which term weights count as
 // tied when sizing α.
 const weightGapTolerance = 1e-12
 
-// roScores is Formula (2), shared by RO and the alternating General.
-func roScores(w *workset, prob func(boolexpr.Var) float64, candidates []boolexpr.Var) map[boolexpr.Var]float64 {
-	// bestTermWeight[v] = max weight of any term containing v; weights
-	// collects every undecided term's weight for sizing α.
-	bestTermWeight := make(map[boolexpr.Var]float64, len(candidates))
-	var weights []float64
-	for _, e := range w.exprs {
-		if e.Decided() {
-			continue
-		}
-		for _, t := range e.Terms() {
-			weight := termWeight(t, prob)
-			weights = append(weights, weight)
-			for _, x := range t {
-				if weight > bestTermWeight[x] {
-					bestTermWeight[x] = weight
-				}
-			}
-		}
-	}
-	alpha := roAlpha(weights)
-	out := make(map[boolexpr.Var]float64, len(candidates))
-	for _, v := range candidates {
-		out[v] = roVarScore(prob(v), bestTermWeight[v], alpha)
-	}
-	return out
-}
-
 // termWeight is the paper's W(T) = (1/|T|)·Π π̃(x): the term's truth
-// probability divided by the probes needed to evaluate it. Shared by the
-// full recompute and the incremental per-expression weight cache.
+// probability divided by the probes needed to evaluate it.
 func termWeight(t boolexpr.Term, prob func(boolexpr.Var) float64) float64 {
 	weight := 1.0
 	for _, x := range t {
@@ -141,23 +114,16 @@ func roVarScore(p, bestWeight, alpha float64) float64 {
 	return (1 - p) + alpha*(bestWeight+roEpsilon)
 }
 
-// roAlpha sizes α from the multiset of undecided term weights. α must
-// satisfy two dominance requirements from the paper's Formula (2)
-// discussion: α·(W(T)+ε) > 1 for every term, so the weight summand always
-// beats the (1−π̃) ≤ 1 tie-breaker — giving α ≥ (1+ε)/(ε+minW) — and, for
-// "utility is strictly greater for variables occurring in terms with
-// maximal weight" to hold, α·ΔW > 1 for every positive gap ΔW between
-// distinct term weights — giving α > 1/gap for the smallest positive gap
-// (weights within weightGapTolerance count as tied). weights is sorted in
-// place.
-func roAlpha(weights []float64) float64 {
-	minW, gap := weightStats(weights)
-	return roAlphaFromStats(minW, gap)
-}
-
-// roAlphaFromStats derives α from precomputed multiset statistics — the
-// entry point of the incremental path, which maintains the sorted multiset
-// across probes instead of re-sorting.
+// roAlphaFromStats sizes α from the statistics of the multiset of
+// undecided term weights: its minimum minW and its smallest positive gap
+// between distinct weights (weights within weightGapTolerance count as
+// tied). α must satisfy two dominance requirements from the paper's
+// Formula (2) discussion: α·(W(T)+ε) > 1 for every term, so the weight
+// summand always beats the (1−π̃) ≤ 1 tie-breaker — giving
+// α ≥ (1+ε)/(ε+minW) — and, for "utility is strictly greater for variables
+// occurring in terms with maximal weight" to hold, α·ΔW > 1 for every
+// positive gap ΔW between distinct term weights — giving α > 1/gap for the
+// smallest positive gap.
 func roAlphaFromStats(minW, gap float64) float64 {
 	alpha := (1 + roEpsilon) / (roEpsilon + minW)
 	if gap > 0 {
@@ -166,33 +132,6 @@ func roAlphaFromStats(minW, gap float64) float64 {
 		}
 	}
 	return alpha
-}
-
-// weightStats returns the minimum term weight and the smallest positive
-// difference between distinct weights (0 when all weights tie or the set
-// is empty). weights is sorted in place.
-func weightStats(weights []float64) (minW, gap float64) {
-	if len(weights) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(weights)
-	return weightStatsSorted(weights)
-}
-
-// weightStatsSorted is weightStats over an already-ascending slice — the
-// incremental path maintains the multiset sorted and skips the sort.
-func weightStatsSorted(weights []float64) (minW, gap float64) {
-	if len(weights) == 0 {
-		return 0, 0
-	}
-	minW = weights[0]
-	gap = 0.0
-	for i := 1; i < len(weights); i++ {
-		if d := weights[i] - weights[i-1]; d > weightGapTolerance && (gap == 0 || d < gap) {
-			gap = d
-		}
-	}
-	return minW, gap
 }
 
 // General is the paper's third utility (Formulas (3) and (2) used
@@ -209,33 +148,19 @@ func (General) Name() string { return "General" }
 // NeedsCNF implements Utility.
 func (General) NeedsCNF() bool { return false }
 
-// Scores implements Utility.
-func (General) Scores(w *workset, prob func(boolexpr.Var) float64, candidates []boolexpr.Var, round int) map[boolexpr.Var]float64 {
+// kind implements Utility: Formula (3) on even rounds, Formula (2) on odd
+// ones.
+func (General) kind(round int) scoreKind {
 	if round%2 == 1 {
-		return roScores(w, prob, candidates)
+		return kindRO
 	}
-	// Formula (3): (1 − π̃(v)) · Σ_φ (nt(φ) − nt(val_{v=False}(φ))).
-	// The sum is exactly the number of undecided DNF terms containing v.
-	termCount := make(map[boolexpr.Var]int, len(candidates))
-	for _, e := range w.exprs {
-		if e.Decided() {
-			continue
-		}
-		for _, t := range e.Terms() {
-			for _, x := range t {
-				termCount[x]++
-			}
-		}
-	}
-	out := make(map[boolexpr.Var]float64, len(candidates))
-	for _, v := range candidates {
-		out[v] = generalFalseScore(prob(v), termCount[v])
-	}
-	return out
+	return kindGeneralFalse
 }
 
-// generalFalseScore is one candidate's Formula (3) score from its
-// undecided-term occurrence count.
+// generalFalseScore is one candidate's Formula (3) score,
+// (1 − π̃(v)) · Σ_φ (nt(φ) − nt(val_{v=False}(φ))), from its
+// undecided-term occurrence count: the sum is exactly the number of
+// undecided DNF terms containing v.
 func generalFalseScore(p float64, termCount int) float64 {
 	return (1 - p) * float64(termCount)
 }
@@ -243,7 +168,7 @@ func generalFalseScore(p float64, termCount int) float64 {
 // termOccurrences counts the undecided DNF terms containing v — the
 // per-variable form of Formula (3)'s sum, used by the incremental cache to
 // rescore only the variables a probe touched. Term counts are integers, so
-// the per-variable scan and the full map build agree exactly.
+// the per-variable scan and a full recount agree exactly.
 func termOccurrences(w *workset, v boolexpr.Var) int {
 	n := 0
 	for _, i := range w.exprsWith(v) {

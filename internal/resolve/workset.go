@@ -32,9 +32,6 @@ type workset struct {
 	cands []boolexpr.Var
 
 	undecided int
-	// rev is bumped once per applyProbe; score caches use it to verify
-	// they reconciled every delta.
-	rev uint64
 }
 
 // newWorkset builds the working state. exprs are the provenance
@@ -185,7 +182,6 @@ func (w *workset) applyProbe(v boolexpr.Var, answer bool) *probeDelta {
 			d.dropped = append(d.dropped, u)
 		}
 	}
-	w.rev++
 	return d
 }
 

@@ -30,10 +30,6 @@ type CreateSessionRequest struct {
 	// dimension. Omitted dimensions (or the whole object) default to one
 	// worker per CPU; results are bit-identical for any combination.
 	Parallelism *ParallelismJSON `json:"parallelism,omitempty"`
-	// Incremental toggles the incremental scoring caches (and with them
-	// component-sharded selection). Omitted means on; probe choices are
-	// identical either way, so switching it off is purely diagnostic.
-	Incremental *bool `json:"incremental,omitempty"`
 	// ForestWorkers bounds forest-training parallelism (0 = one worker
 	// per CPU, 1 = serial).
 	//
@@ -70,8 +66,8 @@ type SessionInfo struct {
 	KnownReused int  `json:"known_reused"`
 	Done        bool `json:"done"`
 	// Components is the number of variable-disjoint connected components
-	// the session's provenance splits into (each resolved by its own shard
-	// when there is more than one).
+	// the session's provenance splits into; framework strategies resolve
+	// each through its own shard, baselines select without shards.
 	Components int `json:"components"`
 	// ComponentGroup fingerprints the component structure; sessions over
 	// the same query and repository state share a group and are co-located

@@ -156,8 +156,9 @@ func TestParallelismFieldCompat(t *testing.T) {
 		t.Errorf("components not reported: %v", body["components"])
 	}
 
-	// incremental: false is accepted (sessions fall back to full rescans;
-	// resolution behavior is covered by the resolve-level equivalence tests).
+	// Old clients may still send the retired "incremental" field: the
+	// decoder ignores unknown fields, so the request is accepted and the
+	// field has no effect.
 	st, body = postRaw(t, base+"/v1/sessions",
 		`{"query": "SELECT Organization FROM Roles", "incremental": false}`)
 	if st != http.StatusCreated {

@@ -495,9 +495,6 @@ func sessionConfig(req CreateSessionRequest, def resolve.Parallelism) (resolve.C
 	if cfg.Parallel.Forest == 0 {
 		cfg.Parallel.Forest = req.ForestWorkers
 	}
-	if req.Incremental != nil && !*req.Incremental {
-		cfg.DisableIncremental = true
-	}
 	switch strings.ToLower(req.Strategy) {
 	case "", "general":
 		cfg.Utility = resolve.General{}

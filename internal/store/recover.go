@@ -220,7 +220,6 @@ func (s *Store) recoverSegments(repo *resolve.Repository, man manifest) error {
 				FirstIndex: first,
 				Records:    uint64(len(res.records)),
 				Bytes:      res.bytes,
-				Vars:       scanVarSet(res.records),
 			}
 			if err := writeSidecar(s.dir, meta); err != nil {
 				return err
@@ -234,7 +233,6 @@ func (s *Store) recoverSegments(repo *resolve.Repository, man manifest) error {
 					FirstIndex: first,
 					Records:    uint64(len(res.records)),
 					Bytes:      res.bytes,
-					Vars:       scanVarSet(res.records),
 				}
 				if err := writeSidecar(s.dir, meta); err != nil {
 					return err
@@ -251,18 +249,6 @@ func (s *Store) recoverSegments(repo *resolve.Repository, man manifest) error {
 	s.active = active
 	s.total = end
 	return nil
-}
-
-// scanVarSet collects the sorted variable-name set of scanned records, for
-// rebuilding a sidecar.
-func scanVarSet(recs []record) []string {
-	set := make(map[string]struct{})
-	for _, r := range recs {
-		if r.hasVar {
-			set[r.varName] = struct{}{}
-		}
-	}
-	return sortedVarSet(set)
 }
 
 // truncateSegment cuts a torn suffix off the live segment and syncs the

@@ -14,13 +14,14 @@ import (
 // wal-<seq>.seg with monotonically increasing sequence numbers; the
 // highest-numbered segment is the live one, every earlier segment is
 // sealed (immutable). Sealing writes a sidecar block index wal-<seq>.sidx
-// next to the segment: record count, byte size, first record's global
-// index, and the sorted set of variable names the segment touches. The
-// sidecar lets recovery and cold lookups decide per segment — "everything
-// here is already in the snapshot", "this variable never appears here" —
-// without reading the segment, which is what makes restart time track the
-// un-snapshotted tail instead of total history. Sidecars are pure
-// acceleration: deleting one costs a rebuild scan, never correctness.
+// next to the segment: record count, byte size and first record's global
+// index. The sidecar lets recovery decide per segment that "everything
+// here is already in the snapshot" without reading the segment, which is
+// what makes restart time track the un-snapshotted tail instead of total
+// history. Sidecars are pure acceleration: deleting one costs a rebuild
+// scan, never correctness. Sidecars written by earlier versions also
+// carry a "vars" list of the segment's variable names; decoding ignores
+// it.
 
 // File naming inside a store directory.
 const (
@@ -82,20 +83,10 @@ type segmentMeta struct {
 	Records uint64 `json:"records"`
 	// Bytes is the segment file's size when sealed.
 	Bytes int64 `json:"bytes"`
-	// Vars is the sorted, deduplicated set of variable names recorded in
-	// the segment (metadata-only records contribute nothing).
-	Vars []string `json:"vars"`
 }
 
 // endIndex is the global index one past the segment's last record.
 func (m *segmentMeta) endIndex() uint64 { return m.FirstIndex + m.Records }
-
-// containsVar reports whether the segment records an answer for the named
-// variable, by binary search over the sorted sidecar list.
-func (m *segmentMeta) containsVar(name string) bool {
-	i := sort.SearchStrings(m.Vars, name)
-	return i < len(m.Vars) && m.Vars[i] == name
-}
 
 // writeSidecar persists a segment's block index crash-consistently
 // (temp file + fsync + atomic rename).
@@ -232,7 +223,6 @@ func createSegment(dir string, seq, firstIndex uint64) (*activeSegment, error) {
 		seq:        seq,
 		firstIndex: firstIndex,
 		bytes:      int64(len(hdr)),
-		vars:       make(map[string]struct{}),
 	}, nil
 }
 

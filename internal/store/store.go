@@ -36,7 +36,6 @@ package store
 import (
 	"errors"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,7 +94,6 @@ type Store struct {
 type pendingBatch struct {
 	buf  []byte
 	recs int
-	vars []string
 	done chan error
 }
 
@@ -107,7 +105,6 @@ type activeSegment struct {
 	firstIndex uint64
 	records    uint64
 	bytes      int64
-	vars       map[string]struct{}
 }
 
 // Append durably logs newly answered probes, returning once every record
@@ -168,9 +165,6 @@ func (s *Store) encodeBatch(recs []resolve.ProbeRecord) *pendingBatch {
 		rec := recordFromProbe(pr, s.nameFn)
 		scratch = appendRecordPayload(scratch[:0], rec)
 		b.buf = appendFrame(b.buf, scratch)
-		if rec.hasVar {
-			b.vars = append(b.vars, rec.varName)
-		}
 	}
 	return b
 }
@@ -228,11 +222,6 @@ func (s *Store) flushBatches(batches []*pendingBatch) {
 			s.smu.Lock()
 			s.active.bytes += int64(len(buf))
 			s.active.records += uint64(recs)
-			for _, b := range batches {
-				for _, v := range b.vars {
-					s.active.vars[v] = struct{}{}
-				}
-			}
 			full := s.active.bytes >= s.segBytes
 			s.smu.Unlock()
 			if full {
@@ -266,7 +255,6 @@ func (s *Store) rotate() error {
 		FirstIndex: old.firstIndex,
 		Records:    old.records,
 		Bytes:      old.bytes,
-		Vars:       sortedVarSet(old.vars),
 	}
 	s.smu.Unlock()
 	if err := old.f.Sync(); err != nil {
@@ -288,17 +276,6 @@ func (s *Store) rotate() error {
 	s.smu.Unlock()
 	s.met.sealedInc()
 	return nil
-}
-
-// sortedVarSet renders a variable-name set as the sorted slice the sidecar
-// stores.
-func sortedVarSet(set map[string]struct{}) []string {
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WALRecords reports how many records the WAL holds beyond the snapshot —

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -369,6 +371,85 @@ func TestRecoverySkipsCoveredSegmentsWithoutReadingThem(t *testing.T) {
 	}
 	if fileExists(segmentPath(dir, coveredSeq)) {
 		t.Errorf("covered leftover segment %d not reaped", coveredSeq)
+	}
+}
+
+// Sidecars written before the block index dropped its variable list also
+// carry a sorted "vars" field. Recovery must accept them as they are —
+// without rewriting them — and recover the same repository.
+func TestRecoveryAcceptsSidecarsWithVars(t *testing.T) {
+	env := newTestEnv()
+	dir := t.TempDir()
+	opts := Options{NameFn: env.opts.NameFn, ResolveFn: env.opts.ResolveFn, SegmentBytes: 256}
+	st, repo, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range env.probeSeq(40) {
+		addOne(t, st, repo, rec)
+	}
+	want := saveBytes(t, repo, env.reg.Name)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite every sealed segment's sidecar in the older format: the
+	// same index plus the sorted names of the variables its records bind.
+	seqs, err := listSegments(dir)
+	if err != nil || len(seqs) < 3 {
+		t.Fatalf("want >= 3 segments, got %v (err %v)", seqs, err)
+	}
+	type varsSidecar struct {
+		Seq        uint64   `json:"seq"`
+		FirstIndex uint64   `json:"first_index"`
+		Records    uint64   `json:"records"`
+		Bytes      int64    `json:"bytes"`
+		Vars       []string `json:"vars"`
+	}
+	written := make(map[uint64][]byte)
+	for _, seq := range seqs[:len(seqs)-1] {
+		meta, ok := readSidecar(dir, seq)
+		if !ok {
+			t.Fatalf("sealed segment %d has no sidecar", seq)
+		}
+		res, err := scanSegment(segmentPath(dir, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := varsSidecar{Seq: meta.Seq, FirstIndex: meta.FirstIndex, Records: meta.Records, Bytes: meta.Bytes, Vars: []string{}}
+		for _, rec := range res.records {
+			if rec.hasVar {
+				old.Vars = append(old.Vars, rec.varName)
+			}
+		}
+		sort.Strings(old.Vars)
+		data, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, '\n')
+		if err := os.WriteFile(sidecarPath(dir, seq), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		written[seq] = data
+	}
+
+	st2, repo2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatalf("recovery rejected sidecars with a vars list: %v", err)
+	}
+	defer st2.Close()
+	if got := saveBytes(t, repo2, env.reg.Name); !bytes.Equal(got, want) {
+		t.Errorf("recovery differs:\ngot  %s\nwant %s", got, want)
+	}
+	for seq, data := range written {
+		got, err := os.ReadFile(sidecarPath(dir, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("sidecar of segment %d rewritten:\ngot  %s\nwant %s", seq, got, data)
+		}
 	}
 }
 
