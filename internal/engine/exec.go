@@ -85,31 +85,15 @@ func (r *Result) Header() string {
 	return strings.Join(parts, ", ")
 }
 
-// uncertainSource adapts an uncertain database: the provenance of a tuple
-// is its Boolean variable.
-type uncertainSource struct{ db *uncertain.DB }
-
-func (s uncertainSource) Relation(name string) (*table.Relation, bool) {
-	return s.db.Data().Relation(name)
+// source is what a compilation binds scans against: the base relations,
+// and the uncertain database whose variables annotate their tuples. With
+// udb nil the relations are a possible world: every tuple is certainly
+// present and annotated True, so the same plans evaluate queries both with
+// provenance tracking and under standard set semantics.
+type source struct {
+	data *table.Database
+	udb  *uncertain.DB
 }
-
-func (s uncertainSource) Prov(relation string, idx int) boolexpr.Expr {
-	v, ok := s.db.VarFor(relation, idx)
-	if !ok {
-		return boolexpr.False()
-	}
-	return boolexpr.Lit(v)
-}
-
-// worldSource adapts a plain relational database (a possible world): every
-// tuple is certainly present, so its provenance is the constant True.
-type worldSource struct{ db *table.Database }
-
-func (s worldSource) Relation(name string) (*table.Relation, bool) {
-	return s.db.Relation(name)
-}
-
-func (s worldSource) Prov(string, int) boolexpr.Expr { return boolexpr.True() }
 
 // Exec bundles the execution options of one streaming run: an optional
 // instrumentation handle and the engine worker count.
@@ -144,10 +128,8 @@ type Exec struct {
 //
 // Run executes serially: the plan is rewritten (predicate pushdown, top-k
 // fusion — see Rewrite), compiled to a tree of Volcano iterators and
-// drained. Results are row-for-row identical to the materializing
-// reference executor, which stays available as RunReference for
-// equivalence testing. RunWith adds instrumentation and morsel-driven
-// parallelism with the same result contract.
+// drained. RunWith adds instrumentation and morsel-driven parallelism with
+// the same result contract.
 func Run(db *uncertain.DB, plan Node) (*Result, error) {
 	return RunWith(db, plan, Exec{Workers: 1})
 }
@@ -156,26 +138,12 @@ func Run(db *uncertain.DB, plan Node) (*Result, error) {
 // options — the entry point for instrumented and morsel-parallel
 // evaluation. Results are bit-identical to Run for every Exec value.
 func RunWith(db *uncertain.DB, plan Node, x Exec) (*Result, error) {
-	return runStream(uncertainSource{db}, plan, x)
-}
-
-// RunReference evaluates plan with the pre-streaming materializing
-// executor, with no plan rewriting: every operator computes its full output
-// before its parent starts. It is the pinned control for the streaming
-// path — equivalence tests and BenchmarkEngine run both and compare. The
-// resolver's full-recompute selector and the learner's reference trainer
-// play the same role, as test code in their packages.
-func RunReference(db *uncertain.DB, plan Node) (*Result, error) {
-	schema, rows, err := plan.exec(uncertainSource{db})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: schema, Rows: rows}, nil
+	return runStream(source{data: db.Data(), udb: db}, plan, x)
 }
 
 // runStream rewrites, compiles and drains a plan against src under the
 // given execution options, reporting through x.Obs (which may be nil).
-func runStream(src Source, plan Node, x Exec) (*Result, error) {
+func runStream(src source, plan Node, x Exec) (*Result, error) {
 	o := x.Obs
 	workers := x.Workers
 	if workers <= 0 {
@@ -253,7 +221,7 @@ func drain(c compiled) ([]Row, error) {
 // which is how the resolution-correctness invariant is checked end to end.
 // Like Run it executes serially.
 func RunWorld(db *table.Database, plan Node) (map[string]table.Tuple, error) {
-	res, err := runStream(worldSource{db}, plan, Exec{Workers: 1})
+	res, err := runStream(source{data: db}, plan, Exec{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ type execStats struct {
 // tracing is requested, and — while compiling one worker's copy of an
 // exchange fragment — that worker's fragment state.
 type compileCtx struct {
-	src     Source
+	src     source
 	stats   *execStats
 	workers int
 	morsel  int
@@ -121,14 +121,15 @@ func unwrapOp(it iter) iter {
 // tree. It is the only compiler: serial trees and each worker's copy of an
 // exchange fragment (see tryExchange) come from the same code. All schema
 // resolution and predicate/scalar binding happens here, so the streaming
-// path surfaces exactly the errors the materializing path surfaces
-// (unknown relations and columns, ambiguous references, kind mismatches)
-// before any row is produced. Children compile before the operator's own
-// expressions bind, matching the materializing executor's error order.
+// path surfaces exactly the errors the materializing reference in
+// reference_test.go surfaces (unknown relations and columns, ambiguous
+// references, kind mismatches) before any row is produced. Children
+// compile before the operator's own expressions bind, matching the
+// reference's error order.
 func compile(n Node, ctx *compileCtx) (compiled, error) {
 	switch t := n.(type) {
 	case *scanNode:
-		rel, ok := ctx.src.Relation(t.relation)
+		rel, ok := ctx.src.data.Relation(t.relation)
 		if !ok {
 			return compiled{}, fmt.Errorf("engine: unknown relation %q", t.relation)
 		}
@@ -352,21 +353,21 @@ func (ctx *compileCtx) joinBuild(t *joinNode, left outSchema) (*joinBuild, error
 }
 
 // provFetcher builds the per-tuple provenance lookup for one scanned
-// relation, hoisting source-specific work out of the row loop: an uncertain
-// database resolves its variable column once (the generic Source path would
-// pay a per-tuple relation lookup), and a possible world reuses one shared
-// True constant instead of rebuilding it per tuple.
-func provFetcher(src Source, relation string) func(i int) boolexpr.Expr {
-	switch s := src.(type) {
-	case uncertainSource:
-		if vars := s.db.Vars(relation); vars != nil {
-			return func(i int) boolexpr.Expr { return boolexpr.Lit(vars[i]) }
-		}
-	case worldSource:
+// relation, hoisting the work out of the row loop: an uncertain database
+// resolves the relation's variable column once, and a possible world
+// reuses one shared True constant instead of rebuilding it per tuple. A
+// relation added after its uncertain database was built has no variables,
+// so its tuples are annotated False.
+func provFetcher(src source, relation string) func(i int) boolexpr.Expr {
+	if src.udb == nil {
 		t := boolexpr.True()
 		return func(int) boolexpr.Expr { return t }
 	}
-	return func(i int) boolexpr.Expr { return src.Prov(relation, i) }
+	vars := src.udb.Vars(relation)
+	if vars == nil {
+		return func(int) boolexpr.Expr { return boolexpr.False() }
+	}
+	return func(i int) boolexpr.Expr { return boolexpr.Lit(vars[i]) }
 }
 
 // estimateRows bounds the output cardinality of a subtree from base
@@ -374,10 +375,10 @@ func provFetcher(src Source, relation string) func(i int) boolexpr.Expr {
 // when no bound is available (joins, whose output is unbounded without
 // statistics). Selections only shrink their input, so the bound stays an
 // upper bound.
-func estimateRows(n Node, src Source) int {
+func estimateRows(n Node, src source) int {
 	switch t := n.(type) {
 	case *scanNode:
-		if rel, ok := src.Relation(t.relation); ok {
+		if rel, ok := src.data.Relation(t.relation); ok {
 			return rel.Len()
 		}
 		return -1
@@ -568,12 +569,12 @@ func (c *chainIter) Close() {
 	}
 }
 
-// dedupIter merges duplicate tuples, disjoining their provenance — the
-// streaming counterpart of mergeDuplicates, with identical first-occurrence
-// output order. Duplicate elimination is a pipeline breaker (a late
-// duplicate disjoins into an earlier row's provenance), so the input drains
-// on the first Next. Keys are built in a reused buffer and looked up
-// without allocating; one key string is allocated per distinct row.
+// dedupIter merges duplicate tuples, disjoining their provenance, and
+// emits each distinct tuple at its first occurrence. Duplicate elimination
+// is a pipeline breaker (a late duplicate disjoins into an earlier row's
+// provenance), so the input drains on the first Next. Keys are built in a
+// reused buffer and looked up without allocating; one key string is
+// allocated per distinct row.
 type dedupIter struct {
 	in    iter
 	clone bool
@@ -802,7 +803,7 @@ func fnv64(b []byte) uint64 {
 
 // hashProbeIter executes an equi-join: left rows stream through, probing
 // the build's key index and emitting concatenations into a reused scratch
-// tuple. Output order matches the materializing executor: left input
+// tuple. Output order matches the materializing reference: left input
 // order, then build order within a key. NULL key components never match,
 // on either side. The joined row's provenance conjunction is only computed
 // for rows that survive the residual predicate. An owned build runs on
@@ -1116,7 +1117,7 @@ func (t *topKIter) Close() {
 }
 
 // limitIter truncates its input to n rows (n < 0 keeps everything, as in
-// the materializing executor). Once the budget is spent — immediately, for
+// the materializing reference). Once the budget is spent — immediately, for
 // LIMIT 0 — it stops pulling, so upstream operators do no further work.
 type limitIter struct {
 	in      iter
@@ -1176,7 +1177,7 @@ func (o *opIter) Close() { o.in.Close() }
 
 // compareRows orders two tuples by bound sort keys: -1 when a sorts before
 // b, +1 after, 0 on a full tie. The semantics are shared by the
-// materializing sort, the streaming sort and top-k: NULLs first ascending,
+// reference's sort, the streaming sort and top-k: NULLs first ascending,
 // incomparable or equal keys fall through to the next key, Desc reverses.
 func compareRows(keys []SortKey, evals []func(table.Tuple) table.Value, a, b table.Tuple) int {
 	for i, k := range keys {

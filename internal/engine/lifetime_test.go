@@ -138,7 +138,7 @@ func TestJoinBuildLifetime(t *testing.T) {
 					if tc.limitZero {
 						n = Limit(n, 0)
 					}
-					ctx := &compileCtx{src: uncertainSource{udb}, stats: &execStats{}, workers: workers, morsel: 8}
+					ctx := &compileCtx{src: source{data: udb.Data(), udb: udb}, stats: &execStats{}, workers: workers, morsel: 8}
 					c, err := compileInput(n, ctx)
 					if err != nil {
 						t.Fatal(err)

@@ -89,7 +89,7 @@ func tryExchange(n Node, ctx *compileCtx) (compiled, bool) {
 	if !ok {
 		return compiled{}, false
 	}
-	rel, ok := ctx.src.Relation(scan.relation)
+	rel, ok := ctx.src.data.Relation(scan.relation)
 	if !ok {
 		return compiled{}, false
 	}

@@ -8,26 +8,22 @@ import (
 	"qres/internal/table"
 )
 
-// Source supplies base relations and their per-tuple provenance
-// annotations. An uncertain database yields the tuple's Boolean variable;
-// a possible world (a plain database) yields the constant True, so the
-// same plans evaluate queries both with provenance tracking and under
-// standard set semantics.
-type Source interface {
-	// Relation looks up a base relation by name.
-	Relation(name string) (*table.Relation, bool)
-	// Prov returns the provenance annotation of the idx-th tuple of the
-	// named relation.
-	Prov(relation string, idx int) boolexpr.Expr
+// Node is a logical SPJU plan operator. Only this package's constructors
+// build Nodes: the compiler and the rewrite pass switch over the operator
+// set.
+type Node interface {
+	String() string
+	planNode()
 }
 
-// Node is a logical SPJU plan operator.
-type Node interface {
-	// exec evaluates the subtree against src, returning the bound output
-	// schema and the materialized annotated rows.
-	exec(src Source) (outSchema, []Row, error)
-	String() string
-}
+func (*scanNode) planNode()    {}
+func (*selectNode) planNode()  {}
+func (*joinNode) planNode()    {}
+func (*projectNode) planNode() {}
+func (*unionNode) planNode()   {}
+func (*sortNode) planNode()    {}
+func (*limitNode) planNode()   {}
+func (*topKNode) planNode()    {}
 
 // Row is one annotated output tuple: the values plus the Boolean
 // provenance expression whose truth decides the tuple's correctness.
@@ -87,26 +83,6 @@ func Scan(relation, alias string) Node { return &scanNode{relation, alias} }
 
 type scanNode struct{ relation, alias string }
 
-func (n *scanNode) exec(src Source) (outSchema, []Row, error) {
-	rel, ok := src.Relation(n.relation)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: unknown relation %q", n.relation)
-	}
-	alias := n.alias
-	if alias == "" {
-		alias = n.relation
-	}
-	schema := make(outSchema, rel.Schema().Len())
-	for i, c := range rel.Schema().Columns() {
-		schema[i] = OutCol{Qualifier: alias, Name: c.Name, Kind: c.Kind}
-	}
-	rows := make([]Row, rel.Len())
-	for i := 0; i < rel.Len(); i++ {
-		rows[i] = Row{Tuple: rel.At(i), Prov: src.Prov(n.relation, i)}
-	}
-	return schema, rows, nil
-}
-
 func (n *scanNode) String() string {
 	if n.alias != "" && !strings.EqualFold(n.alias, n.relation) {
 		return fmt.Sprintf("Scan(%s AS %s)", n.relation, n.alias)
@@ -125,24 +101,6 @@ type selectNode struct {
 	pushed bool
 }
 
-func (n *selectNode) exec(src Source) (outSchema, []Row, error) {
-	schema, rows, err := n.input.exec(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	match, err := n.pred.bind(schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := rows[:0:0]
-	for _, r := range rows {
-		if match(r.Tuple) {
-			out = append(out, r)
-		}
-	}
-	return schema, out, nil
-}
-
 func (n *selectNode) String() string {
 	return fmt.Sprintf("Select(%s)[%s]", n.pred, n.input)
 }
@@ -157,76 +115,6 @@ func Join(left, right Node, on Predicate) Node { return &joinNode{left, right, o
 type joinNode struct {
 	left, right Node
 	on          Predicate
-}
-
-func (n *joinNode) exec(src Source) (outSchema, []Row, error) {
-	ls, lrows, err := n.left.exec(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	rs, rrows, err := n.right.exec(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema := make(outSchema, 0, len(ls)+len(rs))
-	schema = append(schema, ls...)
-	schema = append(schema, rs...)
-
-	// Split the condition into hashable equi-conditions (one side bound
-	// entirely by left columns, the other by right columns) and a
-	// residual predicate.
-	equi, residual := splitEquiConds(n.on, ls, rs)
-
-	match := func(table.Tuple) bool { return true }
-	if residual != nil {
-		match, err = residual.bind(schema)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	concat := func(l, r Row) Row {
-		t := make(table.Tuple, 0, len(l.Tuple)+len(r.Tuple))
-		t = append(t, l.Tuple...)
-		t = append(t, r.Tuple...)
-		return Row{Tuple: t, Prov: l.Prov.And(r.Prov)}
-	}
-
-	var out []Row
-	if len(equi) > 0 {
-		// Hash join on the equi-condition key.
-		buckets := make(map[string][]int, len(rrows))
-		for j, r := range rrows {
-			key, ok := equiKey(r.Tuple, equi, false)
-			if !ok {
-				continue // NULL key never matches
-			}
-			buckets[key] = append(buckets[key], j)
-		}
-		for _, l := range lrows {
-			key, ok := equiKey(l.Tuple, equi, true)
-			if !ok {
-				continue
-			}
-			for _, j := range buckets[key] {
-				row := concat(l, rrows[j])
-				if match(row.Tuple) {
-					out = append(out, row)
-				}
-			}
-		}
-	} else {
-		// Nested-loop theta join.
-		for _, l := range lrows {
-			for _, r := range rrows {
-				row := concat(l, r)
-				if match(row.Tuple) {
-					out = append(out, row)
-				}
-			}
-		}
-	}
-	return schema, out, nil
 }
 
 func (n *joinNode) String() string {
@@ -305,16 +193,6 @@ func extractEqui(q cmpPred, ls, rs outSchema) (equiCond, bool) {
 	return equiCond{}, false
 }
 
-// equiKey builds the hash key of a row for the given equi-conditions.
-// It returns ok=false when any key component is NULL (NULL never joins).
-func equiKey(t table.Tuple, conds []equiCond, left bool) (string, bool) {
-	buf, ok := appendEquiKey(make([]byte, 0, 16*len(conds)), t, conds, left)
-	if !ok {
-		return "", false
-	}
-	return string(buf), true
-}
-
 // Project keeps the listed columns. With distinct=true duplicate output
 // tuples are merged and their provenance disjoined, which is where DNF
 // provenance expressions with multiple terms arise (paper Table 2). The
@@ -328,40 +206,6 @@ type projectNode struct {
 	input    Node
 	distinct bool
 	cols     []Scalar
-}
-
-func (n *projectNode) exec(src Source) (outSchema, []Row, error) {
-	schema, rows, err := n.input.exec(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	evals := make([]func(table.Tuple) table.Value, len(n.cols))
-	out := make(outSchema, len(n.cols))
-	for i, c := range n.cols {
-		f, kind, err := c.bind(schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		evals[i] = f
-		name := c.String()
-		if cr, ok := c.(colRef); ok {
-			name = cr.name
-		}
-		out[i] = OutCol{Name: name, Kind: kind}
-	}
-
-	projected := make([]Row, 0, len(rows))
-	for _, r := range rows {
-		t := make(table.Tuple, len(evals))
-		for i, f := range evals {
-			t[i] = f(r.Tuple)
-		}
-		projected = append(projected, Row{Tuple: t, Prov: r.Prov})
-	}
-	if n.distinct {
-		projected = mergeDuplicates(projected)
-	}
-	return out, projected, nil
 }
 
 func (n *projectNode) String() string {
@@ -383,56 +227,10 @@ func Union(inputs ...Node) Node { return &unionNode{inputs} }
 
 type unionNode struct{ inputs []Node }
 
-func (n *unionNode) exec(src Source) (outSchema, []Row, error) {
-	if len(n.inputs) == 0 {
-		return nil, nil, fmt.Errorf("engine: UNION of zero inputs")
-	}
-	var schema outSchema
-	var all []Row
-	for i, in := range n.inputs {
-		s, rows, err := in.exec(src)
-		if err != nil {
-			return nil, nil, err
-		}
-		if i == 0 {
-			schema = s
-		} else {
-			if len(s) != len(schema) {
-				return nil, nil, fmt.Errorf("engine: UNION arity mismatch: %d vs %d", len(schema), len(s))
-			}
-			for j := range s {
-				a, b := schema[j].Kind, s[j].Kind
-				if a != b && a != table.KindNull && b != table.KindNull && !table.Comparable(a, b) {
-					return nil, nil, fmt.Errorf("engine: UNION kind mismatch at column %d: %s vs %s", j, a, b)
-				}
-			}
-		}
-		all = append(all, rows...)
-	}
-	return schema, mergeDuplicates(all), nil
-}
-
 func (n *unionNode) String() string {
 	parts := make([]string, len(n.inputs))
 	for i, in := range n.inputs {
 		parts[i] = in.String()
 	}
 	return "Union[" + strings.Join(parts, ", ") + "]"
-}
-
-// mergeDuplicates deduplicates rows by tuple key, disjoining provenance of
-// merged rows. First-occurrence order is preserved for determinism.
-func mergeDuplicates(rows []Row) []Row {
-	index := make(map[string]int, len(rows))
-	out := make([]Row, 0, len(rows))
-	for _, r := range rows {
-		key := r.Tuple.Key()
-		if i, ok := index[key]; ok {
-			out[i].Prov = out[i].Prov.Or(r.Prov)
-			continue
-		}
-		index[key] = len(out)
-		out = append(out, r)
-	}
-	return out
 }

@@ -12,7 +12,7 @@
 // fusion — see Rewrite), compiles it to a tree of Volcano-style
 // Open/Next/Close iterators, and drains the root, keeping provenance
 // annotation on the streaming path. The original materialize-per-operator
-// executor remains available as RunReference; it is the pinned control the
+// executor survives in this package's tests as the pinned control the
 // equivalence tests and benchmarks compare against. ARCHITECTURE.md's
 // "Query engine" chapter documents the iterator contract and the
 // equivalence argument.

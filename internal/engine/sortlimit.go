@@ -2,10 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"qres/internal/table"
 )
 
 // SortKey orders output rows by one scalar.
@@ -24,26 +21,6 @@ func Sort(input Node, keys ...SortKey) Node { return &sortNode{input, keys} }
 type sortNode struct {
 	input Node
 	keys  []SortKey
-}
-
-func (n *sortNode) exec(src Source) (outSchema, []Row, error) {
-	schema, rows, err := n.input.exec(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	evals := make([]func(table.Tuple) table.Value, len(n.keys))
-	for i, k := range n.keys {
-		f, _, err := k.By.bind(schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		evals[i] = f
-	}
-	out := append([]Row(nil), rows...)
-	sort.SliceStable(out, func(a, b int) bool {
-		return compareRows(n.keys, evals, out[a].Tuple, out[b].Tuple) < 0
-	})
-	return schema, out, nil
 }
 
 func (n *sortNode) String() string {
@@ -69,17 +46,6 @@ type limitNode struct {
 	n     int
 }
 
-func (l *limitNode) exec(src Source) (outSchema, []Row, error) {
-	schema, rows, err := l.input.exec(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if l.n >= 0 && len(rows) > l.n {
-		rows = rows[:l.n]
-	}
-	return schema, rows, nil
-}
-
 func (l *limitNode) String() string {
 	return fmt.Sprintf("Limit(%d)[%s]", l.n, l.input)
 }
@@ -88,24 +54,11 @@ func (l *limitNode) String() string {
 // produces from Limit(Sort(x)) when k ≥ 0. Streaming execution keeps a
 // bounded heap of the k best rows (see topKIter) instead of sorting the
 // full input; the result is identical to stable-sorting and truncating.
-// Only the rewrite constructs this node, so the materializing reference
-// executor never sees it — its exec below sorts and truncates, keeping the
-// Node contract total.
+// Only the rewrite constructs this node.
 type topKNode struct {
 	input Node
 	keys  []SortKey
 	n     int
-}
-
-func (t *topKNode) exec(src Source) (outSchema, []Row, error) {
-	schema, rows, err := (&sortNode{input: t.input, keys: t.keys}).exec(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rows) > t.n {
-		rows = rows[:t.n]
-	}
-	return schema, rows, nil
 }
 
 func (t *topKNode) String() string {

@@ -210,6 +210,37 @@ func TestStreamingEdgeCases(t *testing.T) {
 	}
 }
 
+// TestScanWithoutVariables covers a relation added to the data after its
+// uncertain database was built: it has no variables, so every executor
+// annotates its tuples False, alone and inside a join.
+func TestScanWithoutVariables(t *testing.T) {
+	udb := edgeDB()
+	late := table.NewRelation("Late", table.NewSchema(table.Column{Name: "k", Kind: table.KindInt}))
+	late.MustAppend(table.Tuple{table.Int(1)}, nil)
+	late.MustAppend(table.Tuple{table.Int(2)}, nil)
+	udb.Data().MustAdd(late)
+	scan := engine.Scan("Late", "n")
+	join := engine.Join(engine.Scan("L", "l"), scan,
+		engine.Cmp(engine.Col("l", "k"), engine.OpEq, engine.Col("n", "k")))
+	for name, plan := range map[string]engine.Node{"scan": scan, "join": join} {
+		t.Run(name, func(t *testing.T) {
+			assertEquivalent(t, udb, plan)
+			res, err := engine.Run(udb, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatal("no rows")
+			}
+			for i, r := range res.Rows {
+				if !r.Prov.Equal(boolexpr.False()) {
+					t.Errorf("row %d provenance %s, want False", i, r.Prov)
+				}
+			}
+		})
+	}
+}
+
 // TestStreamingTopKTieStability pits the bounded-heap top-k against
 // stable-sort-then-truncate on an input dominated by key ties: every
 // tie must resolve to the earlier input row, in input order.

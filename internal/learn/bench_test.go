@@ -82,9 +82,7 @@ func BenchmarkForestFit(b *testing.B) {
 		"serial_speedup":  nsPerFit["reference"] / nsPerFit["serial"],
 		"overall_speedup": nsPerFit["reference"] / nsPerFit["parallel"],
 	}
-	if err := bench.AppendTrajectory(benchLearnPath, point); err != nil {
-		b.Logf("recording trajectory point: %v", err)
-	}
+	bench.AppendTrajectory(b, benchLearnPath, point)
 }
 
 // BenchmarkRetrain measures one online-learning retrain on a seeded TPC-H
@@ -173,7 +171,5 @@ func BenchmarkRetrain(b *testing.B) {
 		"warm_ns_per_retrain": warm,
 		"speedup":             full / warm,
 	}
-	if err := bench.AppendTrajectory(benchLearnPath, point); err != nil {
-		b.Logf("recording trajectory point: %v", err)
-	}
+	bench.AppendTrajectory(b, benchLearnPath, point)
 }

@@ -239,14 +239,6 @@ func (o *Obs) WithScope(sc *Scope) *Obs {
 	return &Obs{sink: o.sink, reg: o.reg, session: o.session, scope: sc}
 }
 
-// Scope returns the handle's request scope, or nil.
-func (o *Obs) Scope() *Scope {
-	if o == nil {
-		return nil
-	}
-	return o.scope
-}
-
 // Emit records one completed span: the event goes to the sink, and the
 // duration is observed in the registry histogram "stage_seconds" labeled
 // by stage and session (with a matching "events_total" counter).

@@ -230,7 +230,5 @@ func BenchmarkResolveStepPath(b *testing.B) {
 		"incremental_ns_per_step": inc,
 		"speedup":                 full / inc,
 	}
-	if err := bench.AppendTrajectory(filepath.Join("..", "..", "results", "BENCH_resolve.json"), point); err != nil {
-		b.Logf("recording trajectory point: %v", err)
-	}
+	bench.AppendTrajectory(b, filepath.Join("..", "..", "results", "BENCH_resolve.json"), point)
 }

@@ -468,9 +468,6 @@ func (s *Session) Components() int { return s.componentCount }
 // sessions onto shard groups sharing one repository view.
 func (s *Session) ComponentSignature() string { return s.componentSig }
 
-// Name returns the configuration's display name.
-func (s *Session) Name() string { return s.cfg.Name() }
-
 // Done reports whether every provenance expression is decided.
 func (s *Session) Done() bool { return s.work.done() }
 
@@ -479,10 +476,6 @@ func (s *Session) Stats() *Stats { return &s.stats }
 
 // Learner exposes the session's Learner (for feature-importance analysis).
 func (s *Session) Learner() *Learner { return s.learner }
-
-// Valuation returns the partial valuation accumulated so far. The returned
-// valuation must not be modified.
-func (s *Session) Valuation() *boolexpr.Valuation { return s.val }
 
 // NextProbe runs probe selection (framework Sub-steps 4.1–4.3) and parks
 // the session on the chosen variable, returning the probe request a remote

@@ -501,6 +501,16 @@ func TestMidSegmentCorruptionIsLocated(t *testing.T) {
 	if ce.Record < 0 || ce.Record >= 10 {
 		t.Errorf("Record = %d, want within [0, 10)", ce.Record)
 	}
+	// The operator sees only the message: it must name the same location.
+	msg := err.Error()
+	for _, want := range []string{path, fmt.Sprintf("record %d", ce.Record), fmt.Sprintf("byte offset %d", ce.Offset)} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not name %q", msg, want)
+		}
+	}
+	if cause := errors.Unwrap(ce); cause == nil || cause != ce.Err {
+		t.Errorf("errors.Unwrap = %v, want the decode failure %v", cause, ce.Err)
+	}
 }
 
 // writeLegacyStore drives recs through the flat control into dir,
