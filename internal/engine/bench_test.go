@@ -27,8 +27,10 @@ import (
 // generation uses Lean mode so large scale factors skip the metadata the
 // engine never reads. After all sub-benchmarks run, the per-query
 // measurements are appended as one trajectory point to
-// results/BENCH_engine.json, with serial streaming pinned as the control
-// the parallel speedups are computed against. Each point records
+// results/BENCH_engine.json. Per query, "control" names the executor whose
+// numbers control_ns and control_bytes hold and that speedup and
+// alloc_ratio divide by (the reference), and "parallel_control" names the
+// baseline of parallel_speedup (serial streaming). Each point records
 // runtime.NumCPU, GOMAXPROCS and the Go version, since parallel speedups
 // mean nothing without them. Pass one -cpu value per invocation: go test
 // applies a -cpu list to each sub-benchmark, so the point would hold only
@@ -109,7 +111,7 @@ func BenchmarkEngine(b *testing.B) {
 			return // a sub-benchmark was filtered out; nothing to record
 		}
 		q := map[string]any{
-			"control":         "streaming",
+			"control":         "reference",
 			"control_ns":      ref.ns,
 			"streaming_ns":    str.ns,
 			"speedup":         ref.ns / str.ns,
@@ -126,10 +128,9 @@ func BenchmarkEngine(b *testing.B) {
 			}
 			key := strconv.Itoa(w)
 			parNS[key] = par.ns
-			// Parallel speedup is measured against the serial streaming
-			// executor (the pinned control), not the materializing one.
 			parSpeedup[key] = str.ns / par.ns
 		}
+		q["parallel_control"] = "streaming"
 		q["parallel_ns"] = parNS
 		q["parallel_speedup"] = parSpeedup
 		point[qname] = q

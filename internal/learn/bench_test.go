@@ -29,35 +29,56 @@ func forestFitDataset() *learn.Dataset {
 	return d
 }
 
+// tpchRetrainWorkload is the online-retraining input BenchmarkRetrain and
+// the TPC-H sub-benchmarks of BenchmarkForestFit share: TPC-H Q3 at SF
+// 0.02 with a repository seeded from 300 answered off-provenance tuples.
+func tpchRetrainWorkload(b *testing.B) (*bench.Workload, bench.Scale, *resolve.Repository) {
+	sc := bench.Scale{TPCHSF: 0.02, NELLAthletes: 120, InitialProbes: 300, Trees: 25, Reps: 1}
+	w, err := bench.LoadTPCH("Q3", sc, bench.FixedGroundTruth(0.5), 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w, sc, w.Repository(sc.InitialProbes, 7)
+}
+
 // BenchmarkForestFit measures random-forest training at the online-
 // retraining size, comparing the retained pre-optimization implementation
 // (reference: shared sequential RNG, map-based split counting, per-node
 // allocation) against the optimized trainer serially (Workers=1) and with
-// one worker per CPU (Workers=0). After all sub-benchmarks run, the trio
-// is appended as a trajectory point to results/BENCH_learn.json.
+// one worker per CPU (Workers=0). The tpch-* sub-benchmarks fit the
+// encoded TPC-H repository of BenchmarkRetrain instead: one near-unique
+// entity feature beside low-cardinality ones, which the synthetic input
+// lacks. After all sub-benchmarks run, the point is appended to
+// results/BENCH_learn.json.
 func BenchmarkForestFit(b *testing.B) {
 	d := forestFitDataset()
+	_, _, repo := tpchRetrainWorkload(b)
+	tpch := repo.Dataset(learn.NewEncoder(repo.Metas()))
 	cfg := learn.ForestConfig{Trees: 25, Seed: 11}
+	fit := func(d *learn.Dataset, workers int) func(int64) *learn.Forest {
+		return func(seed int64) *learn.Forest {
+			c := cfg
+			c.Seed, c.Workers = seed, workers
+			return learn.FitForest(d, c)
+		}
+	}
+	reference := func(d *learn.Dataset) func(int64) *learn.Forest {
+		return func(seed int64) *learn.Forest {
+			c := cfg
+			c.Seed = seed
+			return learn.FitForestReference(d, c)
+		}
+	}
 	nsPerFit := make(map[string]float64)
 	for _, mode := range []struct {
 		name string
 		fit  func(int64) *learn.Forest
 	}{
-		{"reference", func(seed int64) *learn.Forest {
-			c := cfg
-			c.Seed = seed
-			return learn.FitForestReference(d, c)
-		}},
-		{"serial", func(seed int64) *learn.Forest {
-			c := cfg
-			c.Seed, c.Workers = seed, 1
-			return learn.FitForest(d, c)
-		}},
-		{"parallel", func(seed int64) *learn.Forest {
-			c := cfg
-			c.Seed, c.Workers = seed, 0
-			return learn.FitForest(d, c)
-		}},
+		{"reference", reference(d)},
+		{"serial", fit(d, 1)},
+		{"parallel", fit(d, 0)},
+		{"tpch-reference", reference(tpch)},
+		{"tpch-serial", fit(tpch, 1)},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -67,20 +88,25 @@ func BenchmarkForestFit(b *testing.B) {
 			nsPerFit[mode.name] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
 	}
-	if nsPerFit["reference"] == 0 || nsPerFit["serial"] == 0 || nsPerFit["parallel"] == 0 {
+	if len(nsPerFit) < 5 {
 		return // a sub-benchmark was filtered out; nothing to record
 	}
 	point := map[string]any{
-		"date":            time.Now().UTC().Format("2006-01-02"),
-		"benchmark":       "forest_fit",
-		"rows":            d.Len(),
-		"features":        d.NumFeatures(),
-		"trees":           cfg.Trees,
-		"reference_ns":    nsPerFit["reference"],
-		"serial_ns":       nsPerFit["serial"],
-		"parallel_ns":     nsPerFit["parallel"],
-		"serial_speedup":  nsPerFit["reference"] / nsPerFit["serial"],
-		"overall_speedup": nsPerFit["reference"] / nsPerFit["parallel"],
+		"date":                time.Now().UTC().Format("2006-01-02"),
+		"benchmark":           "forest_fit",
+		"rows":                d.Len(),
+		"features":            d.NumFeatures(),
+		"trees":               cfg.Trees,
+		"reference_ns":        nsPerFit["reference"],
+		"serial_ns":           nsPerFit["serial"],
+		"parallel_ns":         nsPerFit["parallel"],
+		"serial_speedup":      nsPerFit["reference"] / nsPerFit["serial"],
+		"overall_speedup":     nsPerFit["reference"] / nsPerFit["parallel"],
+		"tpch_rows":           tpch.Len(),
+		"tpch_features":       tpch.NumFeatures(),
+		"tpch_reference_ns":   nsPerFit["tpch-reference"],
+		"tpch_serial_ns":      nsPerFit["tpch-serial"],
+		"tpch_serial_speedup": nsPerFit["tpch-reference"] / nsPerFit["tpch-serial"],
 	}
 	bench.AppendTrajectory(b, benchLearnPath, point)
 }
@@ -89,17 +115,12 @@ func BenchmarkForestFit(b *testing.B) {
 // repository — the Learner's per-probe cost and the bottleneck of online
 // mode. "full" reproduces the pre-optimization retrain exactly (fresh
 // encoder, full repository re-encode, reference forest trainer per
-// answer); "warm" is the current Learner (encoder reuse, append-only
+// answer); "warm" is the current Learner (encoder extension, append-only
 // delta encoding, optimized trainer at Workers=GOMAXPROCS). Both process
 // the same answer stream, so ns/retrain is directly comparable; the pair
 // lands in results/BENCH_learn.json.
 func BenchmarkRetrain(b *testing.B) {
-	sc := bench.Scale{TPCHSF: 0.02, NELLAthletes: 120, InitialProbes: 300, Trees: 25, Reps: 1}
-	w, err := bench.LoadTPCH("Q3", sc, bench.FixedGroundTruth(0.5), 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	baseRepo := w.Repository(sc.InitialProbes, 7)
+	w, sc, baseRepo := tpchRetrainWorkload(b)
 	// The answer stream: provenance variables not already in the seeded
 	// repository, answered by the ground truth.
 	var stream []boolexpr.Var

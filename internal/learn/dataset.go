@@ -12,6 +12,8 @@ package learn
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -69,24 +71,35 @@ func (e *Encoder) Attr(f int) string { return e.attrs[f] }
 // Cardinality returns the number of known codes of feature f.
 func (e *Encoder) Cardinality(f int) int { return len(e.dicts[f]) }
 
-// Covers reports whether meta lies entirely inside the encoder's
-// attribute/value universe: every attribute is a known feature and every
-// value has a category code. When it holds, rebuilding the encoder with
-// meta included would reproduce this encoder exactly (attribute order and
-// value dictionaries are first-occurrence stable), so warm-started
-// learners may keep the encoder — and every feature vector encoded under
-// it — instead of re-encoding the world.
-func (e *Encoder) Covers(meta map[string]string) bool {
-	for a, v := range meta {
-		i := sort.SearchStrings(e.attrs, a)
-		if i >= len(e.attrs) || e.attrs[i] != a {
-			return false
-		}
-		if _, ok := e.dicts[i][v]; !ok {
-			return false
+// Extend returns the encoder NewEncoder would build over the records this
+// encoder was built from followed by metas: unseen values of known
+// attributes take the next codes of their attribute, in record order, and
+// every existing code stays, so vectors encoded before stay valid. The
+// receiver is never modified; when metas bring no unseen value, it is
+// returned itself. A record with an attribute name the encoder does not
+// know would reorder the features, so Extend then reports false and the
+// caller must rebuild.
+func (e *Encoder) Extend(metas []map[string]string) (*Encoder, bool) {
+	out := e
+	for _, m := range metas {
+		for a, v := range m {
+			i, found := slices.BinarySearch(e.attrs, a)
+			if !found {
+				return nil, false
+			}
+			if _, ok := out.dicts[i][v]; ok {
+				continue
+			}
+			if out == e {
+				out = &Encoder{attrs: e.attrs, dicts: slices.Clone(e.dicts)}
+			}
+			if len(out.dicts[i]) == len(e.dicts[i]) { // still e's map
+				out.dicts[i] = maps.Clone(e.dicts[i])
+			}
+			out.dicts[i][v] = int32(len(out.dicts[i]))
 		}
 	}
-	return true
+	return out, true
 }
 
 // Encode maps metadata to a feature vector. Missing or unseen values

@@ -35,7 +35,7 @@ type ForestConfig struct {
 // each tree as a 'vote' for the class it assigns ... and using the
 // percentage of votes as the probability".
 type Forest struct {
-	trees []*Tree
+	trees []Tree
 	nf    int
 	cfg   ForestConfig
 }
@@ -55,19 +55,19 @@ func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 	}
 	featSample := int(math.Ceil(math.Sqrt(float64(d.NumFeatures()))))
 	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, FeatureSample: featSample}
-	n, mc, nf := d.Len(), maxCode(d), d.NumFeatures()
-	f.trees = make([]*Tree, cfg.Trees)
+	n, cols := d.Len(), newColumns(d)
+	f.trees = make([]Tree, cfg.Trees)
 
-	// fitOne trains tree t from its own deterministic RNG stream into a
-	// worker-owned scratch (bootstrap indices and split-count buffers are
-	// pooled across the worker's trees) and writes it positionally.
-	fitOne := func(sc *treeScratch, t int) {
-		rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, t)))
-		idx := sc.idx[:n]
-		for i := range idx {
-			idx[i] = rng.Intn(n)
+	// fitOne trains tree t from its own deterministic RNG stream (n
+	// bootstrap draws, then the per-node feature shuffles) into a
+	// worker-owned scratch and writes it positionally. Re-seeding the
+	// worker's generator starts the same stream a fresh one would.
+	fitOne := func(sc *treeScratch, rng *rand.Rand, t int) {
+		rng.Seed(streamSeed(cfg.Seed, t))
+		for i := 0; i < n; i++ {
+			sc.draws[rng.Intn(n)]++
 		}
-		f.trees[t] = fitNode(d, idx, tcfg, rng, 0, float64(n), sc)
+		f.trees[t] = sc.fit(cols, tcfg, rng)
 	}
 
 	workers := EffectiveWorkers(cfg.Workers)
@@ -75,9 +75,9 @@ func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 		workers = cfg.Trees
 	}
 	if workers <= 1 {
-		sc := newTreeScratch(n, mc, nf)
+		sc, rng := newTreeScratch(cols), rand.New(rand.NewSource(0))
 		for t := 0; t < cfg.Trees; t++ {
-			fitOne(sc, t)
+			fitOne(sc, rng, t)
 		}
 	} else {
 		var next int64 = -1
@@ -86,13 +86,13 @@ func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := newTreeScratch(n, mc, nf)
+				sc, rng := newTreeScratch(cols), rand.New(rand.NewSource(0))
 				for {
 					t := int(atomic.AddInt64(&next, 1))
 					if t >= cfg.Trees {
 						return
 					}
-					fitOne(sc, t)
+					fitOne(sc, rng, t)
 				}
 			}()
 		}
@@ -113,8 +113,8 @@ func (f *Forest) ProbTrue(x []int32) float64 {
 		return 0.5
 	}
 	votes := 0
-	for _, t := range f.trees {
-		if t.Predict(x) {
+	for i := range f.trees {
+		if f.trees[i].Predict(x) {
 			votes++
 		}
 	}
@@ -137,7 +137,8 @@ func (f *Forest) ProbTrueBatch(xs [][]int32, out []float64) []float64 {
 	for i := range out {
 		out[i] = 0
 	}
-	for _, t := range f.trees {
+	for ti := range f.trees {
+		t := &f.trees[ti]
 		for i, x := range xs {
 			if t.Predict(x) {
 				out[i]++
@@ -159,8 +160,8 @@ func (f *Forest) VoteStats(x []int32) (mean, variance float64) {
 		return 0.5, 0
 	}
 	var sum, sq float64
-	for _, t := range f.trees {
-		p := t.ProbTrue(x)
+	for i := range f.trees {
+		p := f.trees[i].ProbTrue(x)
 		sum += p
 		sq += p * p
 	}
@@ -189,7 +190,8 @@ func (f *Forest) VoteStatsBatch(xs [][]int32, means, variances []float64) (m, v 
 	for i := range means {
 		means[i], variances[i] = 0, 0
 	}
-	for _, t := range f.trees {
+	for ti := range f.trees {
+		t := &f.trees[ti]
 		for i, x := range xs {
 			p := t.ProbTrue(x)
 			means[i] += p
@@ -225,8 +227,8 @@ func (f *Forest) Predict(x []int32) bool { return f.ProbTrue(x) >= 0.5 }
 // Section 7.4 feature-importance analysis reports.
 func (f *Forest) FeatureImportances() []float64 {
 	imp := make([]float64, f.nf)
-	for _, t := range f.trees {
-		t.accumulateImportance(imp)
+	for i := range f.trees {
+		f.trees[i].accumulateImportance(imp)
 	}
 	var total float64
 	for _, v := range imp {

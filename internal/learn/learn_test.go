@@ -3,6 +3,7 @@ package learn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -92,13 +93,13 @@ func TestTreeLearnsSeparableRule(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tree := FitTree(d, idx, TreeConfig{}, nil)
+	tree := fitTree(d, idx, TreeConfig{}, nil)
 	for i, x := range d.X {
 		if tree.Predict(x) != d.Y[i] {
 			t.Fatalf("tree misclassifies separable example %d", i)
 		}
 	}
-	if tree.Depth() == 0 {
+	if tree.depth(0) == 0 {
 		t.Error("tree should have split")
 	}
 }
@@ -107,12 +108,12 @@ func TestTreePureNodeIsLeaf(t *testing.T) {
 	d := &Dataset{}
 	d.Add([]int32{0}, true)
 	d.Add([]int32{1}, true)
-	tree := FitTree(d, []int{0, 1}, TreeConfig{}, nil)
-	if !tree.leaf || tree.prob != 1 {
+	tree := fitTree(d, []int{0, 1}, TreeConfig{}, nil)
+	if !reflect.DeepEqual(tree, leafTree(1)) {
 		t.Fatal("pure node must be a probability-1 leaf")
 	}
-	empty := FitTree(d, nil, TreeConfig{}, nil)
-	if !empty.leaf || empty.prob != 0.5 {
+	empty := fitTree(d, nil, TreeConfig{}, nil)
+	if !reflect.DeepEqual(empty, leafTree(0.5)) {
 		t.Fatal("empty node must be a 0.5 leaf")
 	}
 }
@@ -124,8 +125,8 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tree := FitTree(d, idx, TreeConfig{MaxDepth: 1}, nil)
-	if got := tree.Depth(); got > 1 {
+	tree := fitTree(d, idx, TreeConfig{MaxDepth: 1}, nil)
+	if got := tree.depth(0); got > 1 {
 		t.Fatalf("Depth = %d, want <= 1", got)
 	}
 }

@@ -7,13 +7,15 @@ import (
 )
 
 // This file preserves the pre-parallel forest-training implementation —
-// one shared sequential RNG, map-based split counting, per-node slice
-// allocation — exactly as it shipped before the parallel, warm-started
-// substrate. It exists for two reasons: BenchmarkForestFit and
+// one shared sequential RNG, map-based split counting over sorted codes,
+// per-node slice allocation — as it shipped before the parallel,
+// warm-started substrate; only its trees are laid out in the production
+// node array. It exists for two reasons: BenchmarkForestFit and
 // BenchmarkRetrain measure the optimized path against it (the speedups in
 // results/BENCH_learn.json are new-vs-this), and the equivalence tests
-// use its split search as an independent oracle for the dense-counting
-// bestSplit. It is test code: production never trains with it.
+// use its induction as an independent oracle for the production one
+// (fitForestOracle, fitTree). It is test code: production never trains
+// with it.
 
 // FitForestReference trains a forest with the reference (pre-optimization)
 // loop. Because the reference draws every tree's randomness from one
@@ -39,36 +41,45 @@ func FitForestReference(d *Dataset, cfg ForestConfig) *Forest {
 			MinLeaf:       cfg.MinLeaf,
 			FeatureSample: featSample,
 		}, rng)
-		f.trees = append(f.trees, tree)
+		f.trees = append(f.trees, *tree)
 	}
 	return f
 }
 
-// fitTreeReference is the reference tree induction entry point.
+// fitTreeReference is the reference tree induction entry point. It lays
+// the tree out in the production node array (pre-order, left child next)
+// so the two inductions compare with reflect.DeepEqual.
 func fitTreeReference(d *Dataset, indices []int, cfg TreeConfig, rng *rand.Rand) *Tree {
 	if len(indices) == 0 {
-		return &Tree{leaf: true, prob: 0.5}
+		return leafTree(0.5)
 	}
-	return fitNodeReference(d, indices, cfg, rng, 0, float64(len(indices)))
+	t := &Tree{}
+	fitNodeReference(t, d, indices, cfg, rng, 0, float64(len(indices)))
+	return t
 }
 
-func fitNodeReference(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand, depth int, total float64) *Tree {
+// leafTree is the single-leaf tree with positive fraction p.
+func leafTree(p float64) *Tree { return &Tree{nodes: []node{{feature: -1, val: p}}} }
+
+func fitNodeReference(t *Tree, d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand, depth int, total float64) {
 	pos := 0
 	for _, i := range idx {
 		if d.Y[i] {
 			pos++
 		}
 	}
-	prob := float64(pos) / float64(len(idx))
+	leaf := node{feature: -1, val: float64(pos) / float64(len(idx))}
 	if pos == 0 || pos == len(idx) ||
 		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) ||
 		len(idx) < 2*cfg.minLeaf() {
-		return &Tree{leaf: true, prob: prob}
+		t.nodes = append(t.nodes, leaf)
+		return
 	}
 
 	feature, code, gain := bestSplitReference(d, idx, cfg, rng)
 	if feature < 0 {
-		return &Tree{leaf: true, prob: prob}
+		t.nodes = append(t.nodes, leaf)
+		return
 	}
 
 	var left, right []int
@@ -80,15 +91,18 @@ func fitNodeReference(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand, dep
 		}
 	}
 	if len(left) < cfg.minLeaf() || len(right) < cfg.minLeaf() {
-		return &Tree{leaf: true, prob: prob}
+		t.nodes = append(t.nodes, leaf)
+		return
 	}
-	return &Tree{
-		feature: feature,
+	at := len(t.nodes)
+	t.nodes = append(t.nodes, node{
+		feature: int32(feature),
 		code:    code,
-		gain:    gain * float64(len(idx)) / total,
-		left:    fitNodeReference(d, left, cfg, rng, depth+1, total),
-		right:   fitNodeReference(d, right, cfg, rng, depth+1, total),
-	}
+		val:     gain * float64(len(idx)) / total,
+	})
+	fitNodeReference(t, d, left, cfg, rng, depth+1, total)
+	t.nodes[at].right = int32(len(t.nodes))
+	fitNodeReference(t, d, right, cfg, rng, depth+1, total)
 }
 
 // bestSplitReference is the map-counting split search the dense bestSplit
@@ -148,4 +162,55 @@ func bestSplitReference(d *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (
 		}
 	}
 	return feature, code, gain
+}
+
+// fitForestOracle is FitForest's equivalence oracle: the reference
+// induction per tree, on the same per-tree streams — streamSeed(Seed, t),
+// n draws of rng.Intn(n), then the per-node feature shuffles.
+func fitForestOracle(d *Dataset, cfg ForestConfig) *Forest {
+	if cfg.Trees <= 0 {
+		cfg.Trees = 100
+	}
+	f := &Forest{nf: d.NumFeatures(), cfg: cfg}
+	if d.Len() == 0 {
+		return f
+	}
+	featSample := int(math.Ceil(math.Sqrt(float64(d.NumFeatures()))))
+	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, FeatureSample: featSample}
+	n := d.Len()
+	f.trees = make([]Tree, cfg.Trees)
+	for t := range f.trees {
+		rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, t)))
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = rng.Intn(n)
+		}
+		f.trees[t] = *fitTreeReference(d, idx, tcfg, rng)
+	}
+	return f
+}
+
+// fitTree induces a tree with the production builder from the dataset
+// rows at the given indices, duplicates allowed. rng drives feature
+// subsampling; it may be nil when cfg.FeatureSample is 0.
+func fitTree(d *Dataset, indices []int, cfg TreeConfig, rng *rand.Rand) *Tree {
+	if len(indices) == 0 {
+		return leafTree(0.5)
+	}
+	c := newColumns(d)
+	sc := newTreeScratch(c)
+	for _, i := range indices {
+		sc.draws[i]++
+	}
+	t := sc.fit(c, cfg, rng)
+	return &t
+}
+
+// depth returns the depth of the subtree rooted at node i (0 for a leaf).
+func (t *Tree) depth(i int) int {
+	nd := t.nodes[i]
+	if nd.feature < 0 {
+		return 0
+	}
+	return 1 + max(t.depth(i+1), t.depth(int(nd.right)))
 }

@@ -4,10 +4,10 @@ import "runtime"
 
 // streamSeed derives the seed of the i-th parallel RNG stream from a master
 // seed with a splitmix64-style finalizer. Workers that fit trees (or run
-// synthetic LAL tasks) concurrently each construct their own rand.Rand from
-// streamSeed(seed, i), so the randomness a unit of work consumes depends
-// only on (seed, i) — never on scheduling — which is what makes training
-// bit-identical for any worker count.
+// synthetic LAL tasks) concurrently seed a rand.Rand with
+// streamSeed(seed, i) for each unit of work, so the randomness a unit
+// consumes depends only on (seed, i) — never on scheduling — which is what
+// makes training bit-identical for any worker count.
 func streamSeed(seed int64, i int) int64 {
 	z := uint64(seed) + uint64(i+1)*0x9E3779B97F4A7C15
 	z ^= z >> 30

@@ -11,3 +11,8 @@ func UseOneShard(s *Session) { s.useOneShard() }
 // CheckSelectionPaths lets the seed-workload suites run the synthetic
 // suites' oracle comparison.
 var CheckSelectionPaths = checkSelectionPaths
+
+// UseFullRetrain makes a Learner built from cfg rebuild its encoder and
+// re-encode the whole repository on every retrain: the warm path's
+// equivalence oracle.
+func UseFullRetrain(cfg *LearnerConfig) { cfg.fullRetrain = true }

@@ -62,13 +62,13 @@ type probModel interface {
 }
 
 // featureCache memoizes per-variable encoded feature vectors. A cache is
-// valid only for the encoder it was built under, so the Learner swaps in a
-// fresh one whenever the encoder epoch moves; while the epoch is stable
-// (the common case — online retraining almost never grows the
-// attribute/value universe), Prob and Uncertainty stop paying an
-// enc.Encode per candidate per round. The internal lock makes concurrent
-// lookups from the parallel rescore fan-out safe; double insertion of the
-// same variable is harmless because encoding is deterministic.
+// valid only for the encoder it was built under (an extended encoder may
+// give a cached Unknown a code), so the Learner swaps in a fresh one
+// whenever the encoder changes; while it stays, Prob and Uncertainty stop
+// paying an enc.Encode per candidate per round. The internal lock makes
+// concurrent lookups from the parallel rescore fan-out safe; double
+// insertion of the same variable is harmless because encoding is
+// deterministic.
 type featureCache struct {
 	mu sync.RWMutex
 	m  map[boolexpr.Var][]int32
@@ -97,13 +97,13 @@ func (c *featureCache) put(v boolexpr.Var, x []int32) {
 // for candidate probes, and (in online mode) LAL-based estimates of the
 // uncertainty reduction each probe would yield.
 //
-// Retraining is warm-started: the encoder is reused while the repository's
-// attribute/value universe hasn't grown (Encoder.Covers), the encoded
-// feature matrix is append-only and fed by a repository watermark (only
-// records appended since the last retrain are encoded), and per-variable
-// feature vectors are cached per encoder epoch. The resulting models are
-// bit-identical to a cold rebuild — reused encoders are provably equal to
-// what NewEncoder would reproduce — which the equivalence tests assert.
+// Retraining is warm-started: the encoded feature matrix is append-only
+// and fed by a repository watermark (only records appended since the last
+// retrain are encoded), the encoder grows with them (Encoder.Extend gives
+// unseen values the codes a rebuild would give them, so rows encoded
+// earlier stay valid), and per-variable feature vectors are cached per
+// encoder. The resulting models are bit-identical to a cold rebuild,
+// which the equivalence tests assert.
 //
 // A Learner is safe for concurrent use: probability and uncertainty reads
 // may run in parallel with a retraining Observe. Readers snapshot the
@@ -126,7 +126,6 @@ type Learner struct {
 
 	mu       sync.RWMutex
 	enc      *learn.Encoder
-	encEpoch uint64
 	xc       *featureCache
 	data     *learn.Dataset // append-only encoded training matrix
 	encoded  int            // repository watermark: records encoded into data
@@ -243,11 +242,10 @@ func (l *Learner) Trained() bool {
 // holds l.mu. Below MinTrain records the Learner stays untrained (EP
 // behaviour).
 //
-// The warm path appends: records past the encoding watermark are checked
-// against the live encoder's universe, and when covered only they are
-// encoded into the append-only matrix. Any new attribute or value falls
-// back to the cold rebuild (fresh encoder, full re-encode, new epoch) —
-// exactly what every retrain used to do unconditionally.
+// The warm path appends: the encoder extends over the records past the
+// encoding watermark, and only they are encoded into the append-only
+// matrix. A new attribute name falls back to the cold rebuild (fresh
+// encoder, full re-encode), because it would reorder the features.
 func (l *Learner) retrainLocked() {
 	if l.repo.Len() < l.minTrain {
 		return
@@ -257,7 +255,11 @@ func (l *Learner) retrainLocked() {
 	reused := false
 	if l.enc != nil && !l.fullRetrain {
 		recs := l.repo.RecordsSince(l.encoded)
-		if encoderCovers(l.enc, recs) {
+		if enc, ok := l.enc.Extend(metasOf(recs)); ok {
+			if enc != l.enc {
+				l.enc = enc
+				l.xc = newFeatureCache()
+			}
 			for _, rec := range recs {
 				l.data.Add(l.enc.Encode(rec.Meta), rec.Answer)
 			}
@@ -268,12 +270,7 @@ func (l *Learner) retrainLocked() {
 	}
 	if !reused {
 		recs := l.repo.Records()
-		metas := make([]map[string]string, len(recs))
-		for i := range recs {
-			metas[i] = recs[i].Meta
-		}
-		l.enc = learn.NewEncoder(metas)
-		l.encEpoch++
+		l.enc = learn.NewEncoder(metasOf(recs))
 		l.xc = newFeatureCache()
 		data := &learn.Dataset{
 			X: make([][]int32, 0, len(recs)),
@@ -320,15 +317,13 @@ func (l *Learner) retrainLocked() {
 		obs.F64("fit_ms", float64(time.Since(encodeDone))/1e6))
 }
 
-// encoderCovers reports whether every record's metadata lies inside the
-// encoder's attribute/value universe.
-func encoderCovers(enc *learn.Encoder, recs []ProbeRecord) bool {
-	for _, rec := range recs {
-		if !enc.Covers(rec.Meta) {
-			return false
-		}
+// metasOf returns the records' metadata maps.
+func metasOf(recs []ProbeRecord) []map[string]string {
+	metas := make([]map[string]string, len(recs))
+	for i := range recs {
+		metas[i] = recs[i].Meta
 	}
-	return true
+	return metas
 }
 
 // snapshot returns the published model under the read lock. The returned
@@ -341,8 +336,8 @@ func (l *Learner) snapshot() (enc *learn.Encoder, clf probModel, forest *learn.F
 	return enc, clf, forest, xc
 }
 
-// encodeVar returns v's feature vector under enc, served from the
-// epoch-scoped cache.
+// encodeVar returns v's feature vector under enc, served from enc's
+// cache.
 func (l *Learner) encodeVar(enc *learn.Encoder, xc *featureCache, v boolexpr.Var) []int32 {
 	if x, ok := xc.get(v); ok {
 		return x
@@ -374,7 +369,7 @@ func (l *Learner) Prob(v boolexpr.Var) float64 {
 
 // ProbBatch estimates Prob for every variable in vars, writing into out
 // (reused when it has capacity). One model snapshot serves the whole
-// batch, feature vectors come from the epoch-scoped cache, and forest
+// batch, feature vectors come from the encoder's cache, and forest
 // classifiers predict through the allocation-free batch traversal. The
 // floats equal per-call Prob exactly, so the incremental and full scoring
 // paths stay bit-identical.
