@@ -228,10 +228,22 @@ func (e Expr) MaxTermSize() int {
 }
 
 // Or returns the canonical disjunction of e and f.
-func (e Expr) Or(f Expr) Expr {
-	terms := make([]Term, 0, len(e.terms)+len(f.terms))
-	terms = append(terms, e.terms...)
-	terms = append(terms, f.terms...)
+func (e Expr) Or(f Expr) Expr { return OrAll(e, f) }
+
+// OrAll returns the canonical disjunction of es. It canonicalizes the
+// union of their terms once, so disjoining d expressions of T terms in all
+// costs one O(T log T) sort instead of the O(d·T log T) of folding Or; the
+// canonical form is unique, so the result equals that fold. The operands
+// are never modified: their terms are copied into a fresh slice.
+func OrAll(es ...Expr) Expr {
+	n := 0
+	for _, e := range es {
+		n += len(e.terms)
+	}
+	terms := make([]Term, 0, n)
+	for _, e := range es {
+		terms = append(terms, e.terms...)
+	}
 	return canonicalize(terms)
 }
 

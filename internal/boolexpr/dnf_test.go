@@ -140,6 +140,33 @@ func TestAndVarMatchesAnd(t *testing.T) {
 	}
 }
 
+// TestOrAllMatchesFold checks the n-ary disjunction against a left fold of
+// Or on 10,000 random groups of DNFs, and that it leaves its operands'
+// terms untouched.
+func TestOrAllMatchesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 10_000; i++ {
+		es := make([]Expr, rng.Intn(6))
+		before := make([]string, len(es))
+		for j := range es {
+			es[j] = randomExpr(rng, 8, 5, 4)
+			before[j] = es[j].String()
+		}
+		want := False()
+		for _, e := range es {
+			want = want.Or(e)
+		}
+		if got := OrAll(es...); !got.Equal(want) {
+			t.Fatalf("OrAll(%v) = %v, fold of Or = %v", es, got, want)
+		}
+		for j, e := range es {
+			if e.String() != before[j] {
+				t.Fatalf("OrAll modified operand %d: %s, was %s", j, e, before[j])
+			}
+		}
+	}
+}
+
 func TestEvalPaperExample(t *testing.T) {
 	// The running example (Table 2, first output tuple):
 	// (a0∧r0∧e0) ∨ (a0∧r1∧e1) ∨ (a0∧r2∧e3)

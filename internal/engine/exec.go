@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"runtime"
 	"sort"
 	"strings"
@@ -96,18 +97,22 @@ type source struct {
 }
 
 // Exec bundles the execution options of one streaming run: an optional
-// instrumentation handle and the engine worker count.
+// instrumentation handle, the engine worker count and an optional build
+// cache.
 //
 // When Obs carries a metrics registry the run maintains the engine
 // counters (engine_rows_scanned_total, engine_rows_emitted_total,
 // engine_predicates_pushed_total, engine_topk_fused_total,
 // engine_morsels_total, engine_parallel_pipelines_total) and the
-// engine_workers gauge. When it carries a span sink the run additionally
-// emits a query_eval span (annotated with the original and rewritten plan
-// shapes and the output cardinality), one query_op span per operator of
-// the serial tree and per exchange (rows produced, inclusive subtree
-// time), and a provenance span summarizing the constructed annotations.
-// Tracing never changes how the plan executes.
+// engine_workers gauge; with a build cache also
+// engine_build_cache_hits_total, engine_build_cache_misses_total and the
+// engine_build_cache_rows gauge (BuildCache.Rows). When it carries a span
+// sink the run additionally emits a query_eval span (annotated with the
+// original and rewritten plan shapes, the output cardinality and the
+// builds reused from the cache), one query_op span per operator of the
+// serial tree and per exchange (rows produced, inclusive subtree time),
+// and a provenance span summarizing the constructed annotations. Tracing
+// never changes how the plan executes.
 //
 // Workers selects the engine worker count: 0 means one worker per CPU
 // (runtime.GOMAXPROCS), 1 compiles no exchanges, and n ≥ 2 fans eligible
@@ -115,9 +120,14 @@ type source struct {
 // same operators and returns bit-identical results — same columns, tuple
 // order and provenance expressions; see ARCHITECTURE.md "Parallel
 // execution" for the determinism argument.
+//
+// Builds, when set, supplies and keeps join builds across runs over the
+// database it was made for (see BuildCache); results are bit-identical
+// with and without it.
 type Exec struct {
 	Obs     *obs.Obs
 	Workers int
+	Builds  *BuildCache
 
 	morsel int // rows per morsel; 0 selects defaultMorselSize
 }
@@ -135,9 +145,13 @@ func Run(db *uncertain.DB, plan Node) (*Result, error) {
 }
 
 // RunWith evaluates plan on the streaming executor with explicit execution
-// options — the entry point for instrumented and morsel-parallel
-// evaluation. Results are bit-identical to Run for every Exec value.
+// options — the entry point for instrumented, morsel-parallel and
+// build-reusing evaluation. Results are bit-identical to Run for every
+// Exec value. A build cache made for another database is an error.
 func RunWith(db *uncertain.DB, plan Node, x Exec) (*Result, error) {
+	if x.Builds != nil && x.Builds.udb != db {
+		return nil, errors.New("engine: build cache belongs to another database")
+	}
 	return runStream(source{data: db.Data(), udb: db}, plan, x)
 }
 
@@ -154,7 +168,7 @@ func runStream(src source, plan Node, x Exec) (*Result, error) {
 	ctx := &compileCtx{
 		src: src, stats: &execStats{},
 		workers: workers, morsel: x.morsel,
-		trace: o.Tracing(),
+		builds: x.Builds, trace: o.Tracing(),
 	}
 	c, err := compileInput(rewritten, ctx)
 	if err != nil {
@@ -174,10 +188,15 @@ func runStream(src source, plan Node, x Exec) (*Result, error) {
 		o.Count("engine_morsels_total", ctx.stats.morsels)
 		o.Count("engine_parallel_pipelines_total", ctx.stats.pipelines)
 		o.Gauge("engine_workers", float64(workers))
+		if x.Builds != nil {
+			o.Count("engine_build_cache_hits_total", ctx.stats.reused)
+			o.Count("engine_build_cache_misses_total", ctx.stats.missed)
+			o.Gauge("engine_build_cache_rows", float64(x.Builds.Rows()))
+		}
 		o.Emit(obs.StageQueryEval, -1, start, evalDur,
 			obs.Str("plan", Shape(plan)), obs.Str("rewritten", Shape(rewritten)),
 			obs.Int("rows", len(rows)), obs.Int("scanned", int(ctx.stats.scanned)),
-			obs.Int("pushed", rst.pushed))
+			obs.Int("pushed", rst.pushed), obs.Int("builds_reused", int(ctx.stats.reused)))
 		for _, op := range ctx.ops {
 			o.Emit(obs.StageQueryOperator, -1, start, op.dur,
 				obs.Str("op", op.label), obs.Int("rows", int(op.rows)))

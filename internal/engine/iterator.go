@@ -39,25 +39,31 @@ type iter interface {
 
 // execStats aggregates the cheap per-run counters the streaming executor
 // always maintains (independent of tracing): the number of base-relation
-// tuples read by all scans, and — on the parallel path — the number of
-// morsels executed and pipeline fragments fanned out.
+// tuples read by all scans, on the parallel path the number of morsels
+// executed and pipeline fragments fanned out, and with a build cache the
+// join builds it supplied (reused) and the cacheable builds it did not
+// (missed).
 type execStats struct {
 	scanned   int64
 	morsels   int64
 	pipelines int64
+	reused    int64
+	missed    int64
 }
 
 // compileCtx carries the shared state of one compilation: the source to
 // bind against, the run's counters, the parallel-execution settings
 // (workers < 2 compiles no exchanges; morsel is the rows-per-morsel
-// grain), the instrumentation wrappers created so far when per-operator
-// tracing is requested, and — while compiling one worker's copy of an
-// exchange fragment — that worker's fragment state.
+// grain), the build cache (nil for none), the instrumentation wrappers
+// created so far when per-operator tracing is requested, and — while
+// compiling one worker's copy of an exchange fragment — that worker's
+// fragment state.
 type compileCtx struct {
 	src     source
 	stats   *execStats
 	workers int
 	morsel  int
+	builds  *BuildCache
 	trace   bool
 	ops     []*opIter
 	frag    *workerFrag
@@ -162,6 +168,9 @@ func compile(n Node, ctx *compileCtx) (compiled, error) {
 		// reports post-filter rows in that case.
 		if sc, ok := unwrapOp(c.it).(*scanIter); ok {
 			sc.filters = append(sc.filters, match)
+			if ctx.builds != nil {
+				sc.filterKey = t.pred.appendKey(sc.filterKey, c.schema)
+			}
 			return c, nil
 		}
 		return ctx.wrap("Select", compiled{
@@ -327,14 +336,15 @@ func bindSortKeys(keys []SortKey, s outSchema) ([]func(table.Tuple) table.Value,
 // exchange fragment every join gets its own build, compiled in ctx. Inside
 // one, the first worker to reach the join compiles the build serially (no
 // nested exchange: it drains once, before the workers launch) and every
-// later worker shares it.
+// later worker shares it. With a build cache, a build whose input is one
+// scan gets its cache key.
 func (ctx *compileCtx) joinBuild(t *joinNode, left outSchema) (*joinBuild, error) {
 	bctx := ctx
 	if f := ctx.frag; f != nil {
 		if b := f.sh.builds[t]; b != nil {
 			return b, nil
 		}
-		bctx = &compileCtx{src: ctx.src, stats: f.sh.stats}
+		bctx = &compileCtx{src: ctx.src, stats: f.sh.stats, builds: ctx.builds}
 	}
 	rc, err := compile(t.right, bctx)
 	if err != nil {
@@ -343,7 +353,10 @@ func (ctx *compileCtx) joinBuild(t *joinNode, left outSchema) (*joinBuild, error
 	conds, _ := splitEquiConds(t.on, left, rc.schema)
 	b := &joinBuild{
 		in: rc.it, schema: rc.schema, stable: rc.stable, conds: conds,
-		sizeHint: estimateRows(t.right, ctx.src),
+		sizeHint: estimateRows(t.right, ctx.src), stats: bctx.stats,
+	}
+	if sc, ok := unwrapOp(rc.it).(*scanIter); ok && ctx.builds != nil {
+		b.cache, b.cacheKey = ctx.builds, sc.buildKey(conds)
 	}
 	if f := ctx.frag; f != nil {
 		f.sh.builds[t] = b
@@ -440,14 +453,17 @@ func appendDedupKey(buf []byte, t table.Tuple) []byte {
 // applying any filters fused in from selections directly above the scan.
 // Filters run before the provenance fetch, and returned tuples alias the
 // relation's immutable storage (the subtree is stable). The raw tuple
-// count — before filtering — feeds the rows-scanned counter.
+// count — before filtering — feeds the rows-scanned counter. When the
+// compilation has a build cache, filterKey holds the fused filters'
+// cache keys in fusion order.
 type scanIter struct {
-	rel     *table.Relation
-	prov    func(i int) boolexpr.Expr
-	filters []func(table.Tuple) bool
-	stats   *execStats
-	lo, hi  int
-	i       int
+	rel       *table.Relation
+	prov      func(i int) boolexpr.Expr
+	filters   []func(table.Tuple) bool
+	filterKey []byte
+	stats     *execStats
+	lo, hi    int
+	i         int
 }
 
 // Open implements iter.
@@ -574,7 +590,10 @@ func (c *chainIter) Close() {
 // is a pipeline breaker (a late duplicate disjoins into an earlier row's
 // provenance), so the input drains on the first Next. Keys are built in a
 // reused buffer and looked up without allocating; one key string is
-// allocated per distinct row.
+// allocated per distinct row. A row's duplicates are collected during the
+// drain and disjoined by one boolexpr.OrAll at its end, so a group of d
+// occurrences is canonicalized once rather than d times; rows seen once
+// keep their provenance as scanned.
 type dedupIter struct {
 	in    iter
 	clone bool
@@ -608,17 +627,22 @@ func (d *dedupIter) Next() (Row, bool, error) {
 
 func (d *dedupIter) drain() error {
 	index := make(map[string]int)
+	groups := make(map[int][]boolexpr.Expr) // row → provenance of every occurrence, once merged
 	for {
 		r, ok, err := d.in.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
 		d.buf = appendDedupKey(d.buf[:0], r.Tuple)
 		if j, seen := index[string(d.buf)]; seen {
-			d.rows[j].Prov = d.rows[j].Prov.Or(r.Prov)
+			g, merged := groups[j]
+			if !merged {
+				g = []boolexpr.Expr{d.rows[j].Prov}
+			}
+			groups[j] = append(g, r.Prov)
 			continue
 		}
 		t := r.Tuple
@@ -628,6 +652,10 @@ func (d *dedupIter) drain() error {
 		index[string(d.buf)] = len(d.rows)
 		d.rows = append(d.rows, Row{Tuple: t, Prov: r.Prov})
 	}
+	for j, g := range groups {
+		d.rows[j].Prov = boolexpr.OrAll(g...)
+	}
+	return nil
 }
 
 // Close implements iter.
@@ -651,13 +679,17 @@ type buildPart struct {
 // A serial join's probe owns its build, runs it on its first Next and
 // closes it; an exchange shares one build between all its workers, runs it
 // before they launch and closes it after they finish. Once run returns the
-// build is immutable and safe for concurrent probes.
+// build is immutable and safe for concurrent probes. A build with a cache
+// key may take its rows and index from the cache instead (see BuildCache).
 type joinBuild struct {
 	in       iter
 	schema   outSchema
 	stable   bool
 	conds    []equiCond // empty for theta (nested-loop) builds
 	sizeHint int
+	stats    *execStats
+	cache    *BuildCache // nil: not cacheable
+	cacheKey []byte
 
 	rows   []Row
 	keyBuf []byte  // equi builds: every kept row's key, back to back
@@ -667,15 +699,44 @@ type joinBuild struct {
 	err    error
 }
 
-// run drains the build input and indexes it over up to workers hash
-// partitions. Only the first call does the work; later calls return its
-// error.
+// run fills the build: from the cache on a hit, otherwise by draining the
+// input and indexing it over up to workers hash partitions. Only the first
+// call does the work; later calls return its error.
 func (b *joinBuild) run(workers int) error {
 	if !b.done {
 		b.done = true
-		b.err = b.drain(workers)
+		b.err = b.fill(workers)
 	}
 	return b.err
+}
+
+// fill is run's first call. A hit adopts the kept rows and partitions;
+// its input compiled, so binding errors surfaced, but is never opened. A
+// miss drains, and keeps the build when the cache asks for it.
+func (b *joinBuild) fill(workers int) error {
+	if b.cache == nil {
+		return b.drain(workers)
+	}
+	hit, admit := b.cache.lookup(b.cacheKey)
+	if hit != nil {
+		b.in.Close()
+		b.rows, b.parts = hit.rows, hit.parts
+		b.stats.reused++
+		return nil
+	}
+	b.stats.missed++
+	if err := b.drain(workers); err != nil {
+		return err
+	}
+	if admit {
+		// drain pre-sized rows for the whole base relation, and only
+		// indexing reads the key bytes: keep exact-size rows alone.
+		rows := make([]Row, len(b.rows))
+		copy(rows, b.rows)
+		b.rows, b.keyBuf, b.offs = rows, nil, nil
+		b.cache.admit(b.cacheKey, rows, b.parts)
+	}
+	return nil
 }
 
 func (b *joinBuild) drain(workers int) error {
@@ -781,7 +842,7 @@ func (b *joinBuild) bucket(key []byte) []int32 {
 
 // close releases the build input if run never drained it (the tree was
 // closed before the first Next, or an earlier build errored) and drops
-// the materialized rows and index.
+// its references to the rows and index; a kept build stays in its cache.
 func (b *joinBuild) close() {
 	if !b.done {
 		b.done = true

@@ -87,6 +87,9 @@ func lifetimeDB() *uncertain.DB {
 // 4-worker exchanges: every join's build input is opened at most once and
 // closed exactly once whether the plan drains fully, closes before its
 // first Next, or fails mid-build, and under LIMIT 0 it is never pulled.
+// With a build cache warmed by earlier evaluations, a hit never opens its
+// input and closing the tree leaves the kept rows intact, and a drain that
+// fails on a key's second sighting is never kept.
 func TestJoinBuildLifetime(t *testing.T) {
 	udb := lifetimeDB()
 	on := func(op CmpOp, l, r string, col string) Predicate {
@@ -106,7 +109,9 @@ func TestJoinBuildLifetime(t *testing.T) {
 		name      string
 		limitZero bool
 		failAfter int
+		warm      int // evaluations on a fresh build cache before the pass; 0: no cache
 		run       func(c compiled) error
+		check     func(t *testing.T, cache *BuildCache, builds []*joinBuild, inputs []*countingInput)
 	}{
 		{name: "drain", run: func(c compiled) error { _, err := drain(c); return err }},
 		{name: "closeBeforeNext", run: func(c compiled) error {
@@ -129,6 +134,44 @@ func TestJoinBuildLifetime(t *testing.T) {
 			}
 			return err
 		}},
+		{name: "cacheHit", warm: 2,
+			run: func(c compiled) error { _, err := drain(c); return err },
+			check: func(t *testing.T, cache *BuildCache, _ []*joinBuild, inputs []*countingInput) {
+				for i, in := range inputs {
+					if in.opens != 0 {
+						t.Errorf("build %d input opened %d times on a cache hit", i, in.opens)
+					}
+				}
+				builds, rows := keptRows(cache)
+				if builds != 2 || rows != cache.Rows() || rows == 0 {
+					t.Errorf("after Close the cache keeps %d builds of %d rows (weight %d), want both builds intact",
+						builds, rows, cache.Rows())
+				}
+				cache.mu.Lock()
+				defer cache.mu.Unlock()
+				for _, el := range cache.entries {
+					for i, r := range el.Value.(*cacheEntry).rows {
+						if r.Tuple == nil || r.Prov.IsFalse() {
+							t.Fatalf("kept row %d released: %v %s", i, r.Tuple, r.Prov)
+						}
+					}
+				}
+			}},
+		{name: "cacheFailMidBuild", warm: 1, failAfter: 2,
+			run: func(c compiled) error {
+				if _, err := drain(c); !errors.Is(err, errBuildInput) {
+					return fmt.Errorf("drain error = %v, want %v", err, errBuildInput)
+				}
+				return nil
+			},
+			check: func(t *testing.T, cache *BuildCache, builds []*joinBuild, _ []*countingInput) {
+				cache.mu.Lock()
+				defer cache.mu.Unlock()
+				el, ok := cache.entries[string(builds[0].cacheKey)]
+				if !ok || el.Value.(*cacheEntry).kept {
+					t.Errorf("failed build's key: present %v, kept %v; want it still a sighting", ok, ok && el.Value.(*cacheEntry).kept)
+				}
+			}},
 	}
 	for kind, plan := range joins {
 		for _, workers := range []int{1, 4} {
@@ -138,7 +181,17 @@ func TestJoinBuildLifetime(t *testing.T) {
 					if tc.limitZero {
 						n = Limit(n, 0)
 					}
-					ctx := &compileCtx{src: source{data: udb.Data(), udb: udb}, stats: &execStats{}, workers: workers, morsel: 8}
+					var cache *BuildCache
+					if tc.warm > 0 {
+						cache = NewBuildCache(udb)
+						for i := 0; i < tc.warm; i++ {
+							x := WithMorselSize(Exec{Workers: workers, Builds: cache}, 8)
+							if _, err := RunWith(udb, n, x); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					ctx := &compileCtx{src: source{data: udb.Data(), udb: udb}, stats: &execStats{}, workers: workers, morsel: 8, builds: cache}
 					c, err := compileInput(n, ctx)
 					if err != nil {
 						t.Fatal(err)
@@ -167,6 +220,9 @@ func TestJoinBuildLifetime(t *testing.T) {
 						if tc.limitZero && in.nexts != 0 {
 							t.Errorf("build %d input pulled %d times under LIMIT 0", i, in.nexts)
 						}
+					}
+					if tc.check != nil {
+						tc.check(t, cache, builds, inputs)
 					}
 				})
 			}

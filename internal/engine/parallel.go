@@ -112,7 +112,7 @@ func tryExchange(n Node, ctx *compileCtx) (compiled, bool) {
 	for w := 0; w < sh.workers; w++ {
 		f := &workerFrag{sh: sh}
 		var err error
-		c, err = compile(n, &compileCtx{src: ctx.src, stats: &f.stats, frag: f})
+		c, err = compile(n, &compileCtx{src: ctx.src, stats: &f.stats, builds: ctx.builds, frag: f})
 		if err != nil {
 			return compiled{}, false
 		}

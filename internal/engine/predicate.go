@@ -49,6 +49,9 @@ func (op CmpOp) String() string {
 // not match.
 type Predicate interface {
 	bind(s outSchema) (func(row table.Tuple) bool, error)
+	// appendKey appends the predicate's build-cache key over s to dst (see
+	// BuildCache). Call it only once bind has succeeded on s.
+	appendKey(dst []byte, s outSchema) []byte
 	String() string
 }
 
@@ -101,6 +104,11 @@ func (p cmpPred) bind(s outSchema) (func(table.Tuple) bool, error) {
 	}, nil
 }
 
+func (p cmpPred) appendKey(dst []byte, s outSchema) []byte {
+	dst = append(dst, 'c', byte(p.op))
+	return p.right.appendKey(p.left.appendKey(dst, s), s)
+}
+
 func (p cmpPred) String() string {
 	return fmt.Sprintf("%s %s %s", p.left, p.op, p.right)
 }
@@ -129,6 +137,10 @@ func (p likePred) bind(s outSchema) (func(table.Tuple) bool, error) {
 		}
 		return table.Like(v.AsString(), pattern)
 	}, nil
+}
+
+func (p likePred) appendKey(dst []byte, s outSchema) []byte {
+	return appendKeyString(p.col.appendKey(append(dst, 'l'), s), p.pattern)
 }
 
 func (p likePred) String() string {
@@ -160,6 +172,14 @@ func (p inPred) bind(s outSchema) (func(table.Tuple) bool, error) {
 	}, nil
 }
 
+func (p inPred) appendKey(dst []byte, s outSchema) []byte {
+	dst = appendKeyInt(p.col.appendKey(append(dst, 'i'), s), len(p.values))
+	for _, v := range p.values {
+		dst = appendKeyValue(dst, v)
+	}
+	return dst
+}
+
 func (p inPred) String() string {
 	parts := make([]string, len(p.values))
 	for i, v := range p.values {
@@ -181,6 +201,10 @@ func (p notNullPred) bind(s outSchema) (func(table.Tuple) bool, error) {
 		return nil, err
 	}
 	return func(row table.Tuple) bool { return !f(row).IsNull() }, nil
+}
+
+func (p notNullPred) appendKey(dst []byte, s outSchema) []byte {
+	return p.col.appendKey(append(dst, 'n'), s)
 }
 
 func (p notNullPred) String() string { return p.col.String() + " IS NOT NULL" }
@@ -210,6 +234,10 @@ func (p andPred) bind(s outSchema) (func(table.Tuple) bool, error) {
 	}, nil
 }
 
+func (p andPred) appendKey(dst []byte, s outSchema) []byte {
+	return appendKeyPreds(append(dst, '&'), p.ps, s)
+}
+
 func (p andPred) String() string { return joinPredStrings(p.ps, " AND ") }
 
 // Or disjoins predicates; with no arguments it is the always-false
@@ -237,6 +265,10 @@ func (p orPred) bind(s outSchema) (func(table.Tuple) bool, error) {
 	}, nil
 }
 
+func (p orPred) appendKey(dst []byte, s outSchema) []byte {
+	return appendKeyPreds(append(dst, '|'), p.ps, s)
+}
+
 func (p orPred) String() string { return joinPredStrings(p.ps, " OR ") }
 
 // Not negates a predicate. Negation inside selection conditions is allowed
@@ -253,7 +285,21 @@ func (p notPred) bind(s outSchema) (func(table.Tuple) bool, error) {
 	return func(row table.Tuple) bool { return !f(row) }, nil
 }
 
+func (p notPred) appendKey(dst []byte, s outSchema) []byte {
+	return p.p.appendKey(append(dst, '!'), s)
+}
+
 func (p notPred) String() string { return "NOT (" + p.p.String() + ")" }
+
+// appendKeyPreds appends the count and then the keys of a connective's
+// operands.
+func appendKeyPreds(dst []byte, ps []Predicate, s outSchema) []byte {
+	dst = appendKeyInt(dst, len(ps))
+	for _, p := range ps {
+		dst = p.appendKey(dst, s)
+	}
+	return dst
+}
 
 func joinPredStrings(ps []Predicate, sep string) string {
 	parts := make([]string, len(ps))

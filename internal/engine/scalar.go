@@ -82,6 +82,9 @@ type Scalar interface {
 	// returns an evaluator plus the static kind of the result (KindNull
 	// when the kind depends on the row, e.g. a column of nulls).
 	bind(s outSchema) (func(row table.Tuple) table.Value, table.Kind, error)
+	// appendKey appends the scalar's build-cache key over s to dst (see
+	// BuildCache). Call it only once bind has succeeded on s.
+	appendKey(dst []byte, s outSchema) []byte
 	String() string
 }
 
@@ -99,6 +102,11 @@ func (c colRef) bind(s outSchema) (func(table.Tuple) table.Value, table.Kind, er
 	return func(row table.Tuple) table.Value { return row[idx] }, kind, nil
 }
 
+func (c colRef) appendKey(dst []byte, s outSchema) []byte {
+	idx, _ := s.resolve(c.qualifier, c.name) // bind resolved it already
+	return appendKeyInt(append(dst, 'C'), idx)
+}
+
 func (c colRef) String() string { return colRefString(c.qualifier, c.name) }
 
 // Const wraps a literal value.
@@ -109,6 +117,10 @@ type constant struct{ v table.Value }
 func (c constant) bind(outSchema) (func(table.Tuple) table.Value, table.Kind, error) {
 	v := c.v
 	return func(table.Tuple) table.Value { return v }, v.Kind(), nil
+}
+
+func (c constant) appendKey(dst []byte, _ outSchema) []byte {
+	return appendKeyValue(append(dst, 'K'), c.v)
 }
 
 func (c constant) String() string { return c.v.String() }
@@ -134,6 +146,10 @@ func (y yearOf) bind(s outSchema) (func(table.Tuple) table.Value, table.Kind, er
 		}
 		return table.Int(v.Year())
 	}, table.KindInt, nil
+}
+
+func (y yearOf) appendKey(dst []byte, s outSchema) []byte {
+	return y.of.appendKey(append(dst, 'Y'), s)
 }
 
 func (y yearOf) String() string { return "year(" + y.of.String() + ")" }

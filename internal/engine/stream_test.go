@@ -28,43 +28,75 @@ const testMorselSize = 16
 // path for each worker count, and the pinned materializing reference
 // (RunReference) — and requires row-for-row identical results: same
 // columns, same row order, same tuples, same provenance expressions.
+// Every worker count also runs three times on a fresh build cache — cold
+// (keys first seen), seen (builds kept) and hit (builds reused) — and once
+// more on the previous worker count's cache, whose kept builds were
+// partitioned for that count.
 func assertEquivalent(t *testing.T, udb *uncertain.DB, plan engine.Node) {
 	t.Helper()
 	want, werr := engine.RunReference(udb, plan)
+	check := func(mode string, got *engine.Result, gerr error) {
+		t.Helper()
+		assertMatchesReference(t, want, werr, got, gerr, mode)
+	}
+	var prev *engine.BuildCache
 	for _, w := range equivalenceWorkers {
-		mode := fmt.Sprintf("parallel(%d)", w)
-		var got *engine.Result
-		var gerr error
+		x := engine.WithMorselSize(engine.Exec{Workers: w}, testMorselSize)
+		mode, run := fmt.Sprintf("parallel(%d)", w), func() (*engine.Result, error) { return engine.RunWith(udb, plan, x) }
 		if w == 1 {
-			mode = "streaming"
-			got, gerr = engine.Run(udb, plan)
-		} else {
-			got, gerr = engine.RunWith(udb, plan, engine.WithMorselSize(engine.Exec{Workers: w}, testMorselSize))
+			mode, run = "streaming", func() (*engine.Result, error) { return engine.Run(udb, plan) }
 		}
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("error mismatch: reference=%v %s=%v", werr, mode, gerr)
+		got, gerr := run()
+		check(mode, got, gerr)
+		cache := engine.NewBuildCache(udb)
+		x.Builds = cache
+		for _, phase := range []string{"cold", "seen", "hit"} {
+			got, gerr := engine.RunWith(udb, plan, x)
+			check(mode+","+phase, got, gerr)
 		}
-		if werr != nil {
-			if werr.Error() != gerr.Error() {
-				t.Fatalf("error text mismatch:\nreference: %v\n%s: %v", werr, mode, gerr)
-			}
-			continue
+		if prev != nil {
+			x.Builds = prev
+			got, gerr := engine.RunWith(udb, plan, x)
+			check(mode+",hit on the previous worker count's cache", got, gerr)
 		}
-		if wh, gh := want.Header(), got.Header(); wh != gh {
-			t.Fatalf("column mismatch: reference %q vs %s %q", wh, mode, gh)
+		prev = cache
+	}
+}
+
+// assertMatchesReference requires an executor's outcome to equal the
+// reference's: the same error text, or the same result.
+func assertMatchesReference(t *testing.T, want *engine.Result, werr error, got *engine.Result, gerr error, mode string) {
+	t.Helper()
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("error mismatch: reference=%v %s=%v", werr, mode, gerr)
+	}
+	if werr != nil {
+		if werr.Error() != gerr.Error() {
+			t.Fatalf("error text mismatch:\nreference: %v\n%s: %v", werr, mode, gerr)
 		}
-		if len(want.Rows) != len(got.Rows) {
-			t.Fatalf("row count mismatch: reference %d vs %s %d", len(want.Rows), mode, len(got.Rows))
+		return
+	}
+	assertSameResult(t, want, got, mode)
+}
+
+// assertSameResult requires got to equal want row for row: same columns,
+// same row order, same tuples, same provenance expressions.
+func assertSameResult(t *testing.T, want, got *engine.Result, mode string) {
+	t.Helper()
+	if wh, gh := want.Header(), got.Header(); wh != gh {
+		t.Fatalf("column mismatch: reference %q vs %s %q", wh, mode, gh)
+	}
+	if len(want.Rows) != len(got.Rows) {
+		t.Fatalf("row count mismatch: reference %d vs %s %d", len(want.Rows), mode, len(got.Rows))
+	}
+	for i := range want.Rows {
+		if wk, gk := want.Rows[i].Tuple.Key(), got.Rows[i].Tuple.Key(); wk != gk {
+			t.Fatalf("row %d tuple mismatch: reference %s vs %s %s",
+				i, want.Rows[i].Tuple, mode, got.Rows[i].Tuple)
 		}
-		for i := range want.Rows {
-			if wk, gk := want.Rows[i].Tuple.Key(), got.Rows[i].Tuple.Key(); wk != gk {
-				t.Fatalf("row %d tuple mismatch: reference %s vs %s %s",
-					i, want.Rows[i].Tuple, mode, got.Rows[i].Tuple)
-			}
-			if !want.Rows[i].Prov.Equal(got.Rows[i].Prov) {
-				t.Fatalf("row %d provenance mismatch: reference %s vs %s %s",
-					i, want.Rows[i].Prov, mode, got.Rows[i].Prov)
-			}
+		if !want.Rows[i].Prov.Equal(got.Rows[i].Prov) {
+			t.Fatalf("row %d provenance mismatch: reference %s vs %s %s",
+				i, want.Rows[i].Prov, mode, got.Rows[i].Prov)
 		}
 	}
 }
@@ -441,5 +473,99 @@ func TestRunWorldStreaming(t *testing.T) {
 		if key != tup.Key() {
 			t.Errorf("map key %q does not match tuple key %q", key, tup.Key())
 		}
+	}
+}
+
+// TestBuildCacheINPair evaluates two queries whose nation builds print the
+// same plan string, because String renders literals unquoted, alternately
+// on one build cache: IN ('FRANCE, GERMANY') matches no nation and
+// IN ('FRANCE', 'GERMANY') matches two. Every result must equal the
+// reference, so the cache must tell the builds apart.
+func TestBuildCacheINPair(t *testing.T) {
+	udb := datagen.TPCH(datagen.TPCHConfig{SF: 0.002, Seed: 7})
+	pair := []string{
+		`SELECT DISTINCT c.c_name FROM customer AS c, nation AS n
+		 WHERE c.c_nationkey = n.n_nationkey AND n.n_name IN ('FRANCE, GERMANY')`,
+		`SELECT DISTINCT c.c_name FROM customer AS c, nation AS n
+		 WHERE c.c_nationkey = n.n_nationkey AND n.n_name IN ('FRANCE', 'GERMANY')`,
+	}
+	plans := make([]engine.Node, len(pair))
+	want := make([]*engine.Result, len(pair))
+	for i, sql := range pair {
+		plan, err := sqlparse.ParseAndCompile(sql, udb.Data())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = engine.RunReference(udb, plan); err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = plan
+	}
+	if plans[0].String() != plans[1].String() {
+		t.Fatalf("the pair no longer prints alike:\n%s\n%s", plans[0], plans[1])
+	}
+	if len(want[0].Rows) != 0 || len(want[1].Rows) == 0 {
+		t.Fatalf("reference rows %d and %d, want none and some", len(want[0].Rows), len(want[1].Rows))
+	}
+	reg := obs.NewRegistry()
+	x := engine.Exec{Workers: 1, Builds: engine.NewBuildCache(udb), Obs: obs.New("test", nil, reg)}
+	for round := 0; round < 3; round++ {
+		for i, plan := range plans {
+			got, err := engine.RunWith(udb, plan, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, want[i], got, fmt.Sprintf("round %d, query %d", round, i))
+		}
+	}
+	if hits := reg.Counter("engine_build_cache_hits_total", "test").Value(); hits == 0 {
+		t.Error("no build reused: the pair never exercised a hit")
+	}
+}
+
+// TestBuildCacheForeignDatabase checks that a build cache only serves the
+// database it was made for.
+func TestBuildCacheForeignDatabase(t *testing.T) {
+	udb := testdb.PaperUncertainDB()
+	other := engine.NewBuildCache(testdb.PaperUncertainDB())
+	if _, err := engine.RunWith(udb, testdb.PaperQuery(), engine.Exec{Builds: other}); err == nil {
+		t.Fatal("RunWith accepted a build cache made for another database")
+	}
+}
+
+// TestBuildCacheObservability checks the cache's counters, its weight
+// gauge and the query_eval span's builds_reused attribute.
+func TestBuildCacheObservability(t *testing.T) {
+	udb := testdb.PaperUncertainDB()
+	reg := obs.NewRegistry()
+	sink := &obs.Collector{}
+	x := engine.Exec{Obs: obs.New("test", sink, reg), Workers: 1, Builds: engine.NewBuildCache(udb)}
+	for i := 0; i < 3; i++ {
+		if _, err := engine.RunWith(udb, testdb.PaperQuery(), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := reg.Counter("engine_build_cache_hits_total", "test").Value()
+	misses := reg.Counter("engine_build_cache_misses_total", "test").Value()
+	// The paper plan has two scan builds: seen, kept, then reused.
+	if hits != 2 || misses != 4 {
+		t.Errorf("hits %d, misses %d; want 2 and 4", hits, misses)
+	}
+	if got, want := reg.Gauge("engine_build_cache_rows", "test").Value(), float64(x.Builds.Rows()); got != want || got == 0 {
+		t.Errorf("engine_build_cache_rows = %g, want %g (non-zero)", got, want)
+	}
+	var reused []any
+	for _, ev := range sink.Events() {
+		if ev.Stage != obs.StageQueryEval {
+			continue
+		}
+		for _, a := range ev.Attrs {
+			if a.Key == "builds_reused" {
+				reused = append(reused, a.Value)
+			}
+		}
+	}
+	if fmt.Sprint(reused) != "[0 0 2]" {
+		t.Errorf("query_eval builds_reused = %v, want [0 0 2]", reused)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -207,5 +208,57 @@ func TestBackpressureRejectionCounter(t *testing.T) {
 	resp.Body.Close()
 	if want := `qres_http_requests_total{route="create_session",class="4xx"} 1`; !strings.Contains(string(body), want) {
 		t.Errorf("/metrics missing %q", want)
+	}
+}
+
+// TestBuildCacheMetrics creates three sessions for the same query. The
+// first two see the plan's two scan builds and keep them, the third
+// reuses both: /metrics reports the cache's hits, misses and weight, and
+// the third create's query_eval span reports two builds reused.
+func TestBuildCacheMetrics(t *testing.T) {
+	trace := &obs.Collector{}
+	_, base := startServer(t, Config{Trace: trace})
+	for i := 0; i < 3; i++ {
+		resp := doWithRequestID(t, http.MethodPost, base+"/v1/sessions", "",
+			jsonBody(t, CreateSessionRequest{Query: paperSQL, Seed: 1, Trees: 25}))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %d: status %d", i, resp.StatusCode)
+		}
+	}
+
+	resp := doWithRequestID(t, http.MethodGet, base+"/metrics", "", nil)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(body)
+	for _, want := range []string{
+		`qres_engine_build_cache_hits_total{session=""} 2` + "\n",
+		`qres_engine_build_cache_misses_total{session=""} 4` + "\n",
+		`qres_engine_build_cache_rows{session=""} `,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	if strings.Contains(out, `qres_engine_build_cache_rows{session=""} 0`+"\n") {
+		t.Error("engine_build_cache_rows reads 0 with two builds kept")
+	}
+
+	var reused []any
+	for _, ev := range trace.Events() {
+		if ev.Stage != obs.StageQueryEval {
+			continue
+		}
+		for _, a := range ev.Attrs {
+			if a.Key == "builds_reused" {
+				reused = append(reused, a.Value)
+			}
+		}
+	}
+	if fmt.Sprint(reused) != "[0 0 2]" {
+		t.Errorf("query_eval builds_reused = %v, want [0 0 2]", reused)
 	}
 }

@@ -70,12 +70,13 @@ type Config struct {
 // Server is the resolution service: an http.Handler plus the session
 // manager and shared repository behind it.
 type Server struct {
-	udb   *uncertain.DB
-	repo  *resolve.Repository
-	store *store.Store
-	reg   *obs.Registry
-	mgr   *manager
-	mux   *http.ServeMux
+	udb    *uncertain.DB
+	builds *engine.BuildCache // join builds shared by every session's query
+	repo   *resolve.Repository
+	store  *store.Store
+	reg    *obs.Registry
+	mgr    *manager
+	mux    *http.ServeMux
 
 	trace          obs.Sink
 	slowLog        obs.Sink
@@ -117,6 +118,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		udb:            cfg.DB,
+		builds:         engine.NewBuildCache(cfg.DB),
 		repo:           cfg.Repo,
 		store:          cfg.Store,
 		reg:            cfg.Registry,
@@ -249,7 +251,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	cfg.RetrainStallThreshold = s.stallThreshold
 	// Session queries evaluate under the morsel-parallel executor; the
 	// config's Engine dimension bounds the worker count (0 = per CPU).
-	result, err := engine.RunWith(s.udb, plan, engine.Exec{Obs: cfg.Obs, Workers: cfg.Parallel.Engine})
+	// Join builds repeated across sessions come from the server's cache.
+	result, err := engine.RunWith(s.udb, plan, engine.Exec{Obs: cfg.Obs, Workers: cfg.Parallel.Engine, Builds: s.builds})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("query: %w", err))
 		return

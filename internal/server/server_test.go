@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"qres/internal/datagen"
 	"qres/internal/engine"
+	"qres/internal/obs"
 	"qres/internal/sqlparse"
 	"qres/internal/store"
 	"qres/internal/testdb"
@@ -146,11 +148,17 @@ func driveSession(base, id string, udb *uncertain.DB, gt *uncertain.GroundTruth)
 	return answers, fmt.Errorf("session %s did not finish", id)
 }
 
-// wantStatuses evaluates the query's provenance under the ground truth:
-// the resolution the service must converge to.
+// wantStatuses evaluates the paper query's provenance under the ground
+// truth: the resolution the service must converge to.
 func wantStatuses(t *testing.T, udb *uncertain.DB, gt *uncertain.GroundTruth) []string {
 	t.Helper()
-	plan, err := sqlparse.ParseAndCompile(paperSQL, udb.Data())
+	return wantStatusesFor(t, udb, gt, paperSQL)
+}
+
+// wantStatusesFor is wantStatuses for any query.
+func wantStatusesFor(t *testing.T, udb *uncertain.DB, gt *uncertain.GroundTruth, sql string) []string {
+	t.Helper()
+	plan, err := sqlparse.ParseAndCompile(sql, udb.Data())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,5 +622,75 @@ func TestConcurrentSessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestConcurrentQ10MonthCreates creates sessions for one-month Q10
+// instances from eight clients at once (run under -race). Every session
+// must resolve to the ground truth, and the server's build cache must
+// serve the join builds the months share.
+func TestConcurrentQ10MonthCreates(t *testing.T) {
+	udb := datagen.TPCH(datagen.TPCHConfig{SF: 0.002, Seed: 5})
+	gt := uncertain.GenerateFixed(udb, 0.7, 13)
+	reg := obs.NewRegistry()
+	_, base := startServer(t, Config{DB: udb, MaxSessions: 64, Registry: reg})
+	const clients, perClient = 8, 3
+	months := testdb.Q10Months(udb)[:clients*perClient]
+	want := make([][]string, len(months))
+	rows := 0
+	for i, sql := range months {
+		want[i] = wantStatusesFor(t, udb, gt, sql)
+		rows += len(want[i])
+	}
+	if rows == 0 {
+		t.Fatal("no month has answer rows at this scale")
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(months))
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for m := c; m < len(months); m += clients {
+				create := CreateSessionRequest{Query: months[m], Strategy: "qvalue", Learning: "ep", Seed: int64(m)}
+				var info SessionInfo
+				code, err := doJSON("POST", base+"/v1/sessions", create, &info)
+				if err != nil || code != http.StatusCreated {
+					errs <- fmt.Errorf("month %d create: status %d, err %v", m, code, err)
+					return
+				}
+				if !info.Done {
+					if _, err := driveSession(base, info.ID, udb, gt); err != nil {
+						errs <- fmt.Errorf("month %d: %w", m, err)
+						return
+					}
+				}
+				var st StatusResponse
+				code, err = doJSON("GET", base+"/v1/sessions/"+info.ID+"/status", nil, &st)
+				if err != nil || code != http.StatusOK {
+					errs <- fmt.Errorf("month %d status: %d, err %v", m, code, err)
+					return
+				}
+				if len(st.RowStatus) != len(want[m]) {
+					errs <- fmt.Errorf("month %d: %d rows, ground truth has %d", m, len(st.RowStatus), len(want[m]))
+					return
+				}
+				for row, rs := range st.RowStatus {
+					if rs.Status != want[m][row] {
+						errs <- fmt.Errorf("month %d row %d: %q, ground truth %q", m, row, rs.Status, want[m][row])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if hits := reg.Counter("engine_build_cache_hits_total", "").Value(); hits == 0 {
+		t.Error("no join build was reused across the month sessions")
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"time"
 
+	"qres/internal/engine"
 	"qres/internal/table"
 	"qres/internal/uncertain"
 )
@@ -91,6 +92,7 @@ func (r TupleRef) String() string { return fmt.Sprintf("%s[%d]", r.Table, r.Inde
 type DB struct {
 	data   *table.Database
 	udb    *uncertain.DB
+	builds *engine.BuildCache // join builds reused across queries, made on freeze
 	frozen bool
 
 	// sharedRepo is the database's shared Known Probes Repository handle
@@ -190,11 +192,13 @@ func toValue(v any) (table.Value, error) {
 	}
 }
 
-// freeze annotates every tuple with its correctness variable. Called
-// implicitly by the first Query.
+// freeze annotates every tuple with its correctness variable and makes
+// the build cache later queries share. Called implicitly by the first
+// Query.
 func (db *DB) freeze() {
 	if !db.frozen {
 		db.udb = uncertain.New(db.data)
+		db.builds = engine.NewBuildCache(db.udb)
 		db.frozen = true
 	}
 }

@@ -30,13 +30,18 @@ type Result struct {
 // (0 = one worker per CPU, 1 = serial); results are bit-identical to the
 // serial path for any worker count. Other options are ignored here — they
 // configure resolution sessions.
+//
+// Queries over one DB share its join builds: a hash-join build side (a
+// table with its pushed-down filters) seen by a second query is kept,
+// within a bound of the database's tuple count, and later queries probe it
+// instead of scanning the table again. Results are identical either way.
 func (db *DB) Query(sql string, opts ...Option) (*Result, error) {
 	db.freeze()
 	plan, err := sqlparse.ParseAndCompile(sql, db.data)
 	if err != nil {
 		return nil, err
 	}
-	x := engine.Exec{Workers: 1}
+	x := engine.Exec{Workers: 1, Builds: db.builds}
 	if len(opts) > 0 {
 		var o options
 		for _, opt := range opts {
